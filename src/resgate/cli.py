@@ -36,8 +36,8 @@ from .device import (
     validate_regime,
 )
 from .errors import ConfigError, NumericsError
-from .gate import gate_time_estimate, sweep_coupling_variation, sweep_photon_number
-from .pulse import TimeGrid, default_grid, gaussian_pulse
+from .gate import sweep_coupling_variation, sweep_photon_number
+from .pulse import default_grid, gaussian_pulse
 from .scattering import STATE_LABELS, scatter_all_states, xi_effective
 from .svgplot import save_chart
 
@@ -88,9 +88,12 @@ def _get(cp: configparser.ConfigParser, section: str, key: str, default=None) ->
 def _get_float(cp, section, key, default=None) -> float:
     raw = _get(cp, section, key, default)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
+    return value
 
 
 def _get_int(cp, section, key, default=None) -> int:
@@ -112,12 +115,18 @@ def _parse_points(text: str, section: str) -> list[float]:
             a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
             if n < 1:
                 raise ValueError
-            return [float(x) for x in np.linspace(a, b, n)]
-        return [float(x) for x in text.split(",") if x.strip()]
+            values = [a, b]
+        else:
+            values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise ConfigError(
             f"[{section}] points = {text!r}: expected 'start:stop:count' or a comma list"
         ) from None
+    if not all(math.isfinite(x) for x in values):
+        raise ConfigError(f"[{section}] points = {text!r}: values must be finite")
+    if ":" in text:
+        return [float(x) for x in np.linspace(a, b, n)]
+    return values
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -327,6 +336,13 @@ def cmd_reflect(cfg: RunConfig, plot: bool) -> int:
             f"  state {row[0]}: xi_eff = {row[2]:+.6f}{row[3]:+.6f}j"
             f"  eps = {row[4]:.4g}  eta = {row[5]:.4g}  phase = {row[6]:+.4f}"
         )
+    flagged = [lab for lab in STATE_LABELS if results[lab].diagnostics.get("unreliable")]
+    if flagged:
+        print(
+            f"warning: {len(flagged)} of {len(STATE_LABELS)} states ({', '.join(flagged)}) "
+            f"outside the validity range of the {cfg.backend} backend",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -382,6 +398,13 @@ def cmd_fidelity(cfg: RunConfig, plot: bool) -> int:
             y_label="F",
         )
     print(f"wrote {out} ({len(rows)} rows)")
+    flagged = sum(p.unreliable for p in points)
+    if flagged:
+        print(
+            f"warning: {flagged} of {len(points)} points have a state outside the "
+            f"validity range of the {cfg.backend} backend",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -431,8 +454,7 @@ def cmd_regime(cfg: RunConfig, plot: bool) -> int:
     else:
         print("  spin dephasing estimate: skipped (no gradient_field_mT)")
 
-    t_gate = gate_time_estimate(cfg.tau)
-    print(f"  gate time (one pulse, tau) = {t_gate * 1e9:.4g} ns vs T1 = {d.t1 * 1e9:.4g} ns")
+    print(f"  gate time (one pulse, tau) = {cfg.tau * 1e9:.4g} ns vs T1 = {d.t1 * 1e9:.4g} ns")
     print("  alternate duration figure: ~100 ns (does not follow from tau*kappa; listed for comparison)")
     return 0
 

@@ -9,17 +9,16 @@ and are converted on evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import e as _E_CHARGE
-from scipy.constants import eV as _EV
-from scipy.constants import hbar as _HBAR
-from scipy.constants import physical_constants as _PC
 
-from .qmath import ComplexMatrix, HilbertSpace, kron, sigma_minus, sigma_plus, annihilation_op
+from .qmath import ComplexMatrix
 
-_MU_BOHR = _PC["Bohr magneton"][0]
+# CODATA 2022 values as scipy.constants gives them; e and h are exact in the SI
+_E_CHARGE = 1.602176634e-19                 # C
+_HBAR = 6.62607015e-34 / (2 * math.pi)      # J s
+_MU_BOHR = 9.2740100657e-24                 # J/T
 
 
 @dataclass(frozen=True)
@@ -156,14 +155,6 @@ def resonator_fundamental(circuit: CircuitParams) -> float:
     return math.pi / (circuit.length_L * circuit.impedance_Z0 * circuit.cap_per_len_C0)
 
 
-def interaction_hamiltonian(g: float, space: HilbertSpace) -> ComplexMatrix:
-    """Excitation-exchange coupling g (sigma+ a + sigma- a^dagger)."""
-    if g < 0:
-        raise ValueError("g must be >= 0")
-    a = annihilation_op(space.fock_dim)
-    return g * (kron(sigma_plus(), a) + kron(sigma_minus(), a.conj().T))
-
-
 def s_parameter(g: float, t1: float, kappa: float) -> float:
     """Cooperativity-like ratio g^2 T1 / kappa."""
     if g <= 0 or t1 <= 0 or kappa <= 0:
@@ -185,11 +176,6 @@ def spin_dephasing_estimate(g_factor: float, gradient_field_rms: float) -> float
     if gradient_field_rms == 0:
         return math.inf
     return _HBAR / (abs(g_factor) * _MU_BOHR * gradient_field_rms)
-
-
-def energy_to_angular(energy_uev: float) -> float:
-    """Micro-electron-volts to rad/s."""
-    return energy_uev * 1e-6 * _EV / _HBAR
 
 
 @dataclass(frozen=True)

@@ -11,38 +11,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .device import DeviceParams
 from .errors import NumericsError
 from .pulse import Pulse, default_grid, gaussian_pulse
-from .scattering import ReflectionResult, scatter_all_states
-
-STATE_ORDER = ("00", "01", "10", "11")
-
-
-@dataclass
-class TwoQubitState:
-    """Amplitudes over the computational basis (00, 01, 10, 11)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(4)
-        n = np.linalg.norm(self.amplitudes)
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError(f"state norm {n} != 1")
-
-
-def cpf_ideal(psi: TwoQubitState) -> TwoQubitState:
-    """Flip the sign of the |11> amplitude."""
-    amps = psi.amplitudes.copy()
-    amps[3] = -amps[3]
-    return TwoQubitState(amps)
+from .scattering import STATE_LABELS, ReflectionResult, scatter_all_states, scatter_batch
 
 
 @dataclass
@@ -51,7 +25,7 @@ class GateInputs:
     results: dict[str, ReflectionResult]
 
     def __post_init__(self) -> None:
-        missing = [s for s in STATE_ORDER if s not in self.results]
+        missing = [s for s in STATE_LABELS if s not in self.results]
         if missing:
             raise ValueError(f"missing states {missing}")
         backends = {r.backend for r in self.results.values()}
@@ -88,7 +62,7 @@ def gate_fidelity(inputs: GateInputs) -> float:
     """
     a2 = abs(inputs.alpha) ** 2
     total = 0.0 + 0.0j
-    for label in STATE_ORDER:
+    for label in STATE_LABELS:
         r = inputs.results[label]
         if not 0.0 <= r.epsilon <= 1.0:
             raise NumericsError(f"epsilon {r.epsilon} outside [0, 1] for state {label}")
@@ -120,54 +94,43 @@ def input_mean_photon(alpha: complex) -> float:
     return x / math.tanh(x)
 
 
-def gate_time_estimate(tau: float) -> float:
-    """The gate lasts one pulse."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return tau
-
-
 @dataclass
 class FidelityPoint:
     x_value: float
     fidelity: float
     per_state: dict[str, tuple[float, float, float]]   # label -> (xi, eps, eta)
     mean_photon: float
+    unreliable: bool = False    # a state outside its backend's validity range
 
 
 def _per_state_triples(results: dict[str, ReflectionResult]) -> dict[str, tuple[float, float, float]]:
     return {
         label: (_xi_folded(results[label]), results[label].epsilon, results[label].eta)
-        for label in STATE_ORDER
+        for label in STATE_LABELS
     }
 
 
-def _default_pulse(params: DeviceParams, tau: float | None) -> tuple[float, Pulse]:
-    if tau is None:
-        tau = 10.0 / params.kappa
-    grid = default_grid(tau, params.kappa)
-    return tau, gaussian_pulse(tau, grid)
-
-
-def _fidelity_point_at_alpha(args) -> FidelityPoint:
-    params, f_in, alpha, backend, fock_dim = args
-    if alpha == 0:
-        # the zero-amplitude gate is exact; reuse the analytic records to
-        # keep the per-state columns meaningful
-        results = scatter_all_states(f_in, 1.0, params, backend="analytic")
-        return FidelityPoint(0.0, 1.0, _per_state_triples(results), input_mean_photon(0.0))
-    results = scatter_all_states(f_in, alpha, params, backend=backend, fock_dim=fock_dim)
-    fid = gate_fidelity(GateInputs(alpha, results))
+def _point(x_value: float, alpha: complex, results: dict[str, ReflectionResult]) -> FidelityPoint:
     return FidelityPoint(
-        abs(alpha) ** 2, fid, _per_state_triples(results), input_mean_photon(alpha)
+        x_value,
+        gate_fidelity(GateInputs(alpha, results)),
+        _per_state_triples(results),
+        input_mean_photon(alpha),
+        any(r.diagnostics.get("unreliable", False) for r in results.values()),
     )
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SIM_WORKERS", "1")))
-    except ValueError:
-        return 1
+def _zero_point(f_in: Pulse, params: DeviceParams) -> FidelityPoint:
+    # the zero-amplitude gate is exact; reuse the analytic records to keep
+    # the per-state columns meaningful
+    ideal = scatter_all_states(f_in, 1.0, params, backend="analytic")
+    return FidelityPoint(0.0, 1.0, _per_state_triples(ideal), input_mean_photon(0.0))
+
+
+def _default_pulse(params: DeviceParams, tau: float | None) -> Pulse:
+    if tau is None:
+        tau = 10.0 / params.kappa
+    return gaussian_pulse(tau, default_grid(tau, params.kappa))
 
 
 def sweep_photon_number(
@@ -181,46 +144,28 @@ def sweep_photon_number(
 
     For the linear backends (analytic, filter) the scattering problem is
     amplitude-independent, so it is solved once and only the fidelity
-    formula is re-evaluated per point.
+    formula is re-evaluated per point.  meanfield and master integrate
+    every amplitude and state as one batch.
     """
-    _, f_in = _default_pulse(params, tau)
+    f_in = _default_pulse(params, tau)
     alphas = [complex(a) for a in alphas]
-
+    driven = [a for a in alphas if a != 0]
     if backend in ("analytic", "filter"):
         shared = scatter_all_states(f_in, 1.0, params, backend=backend)
-        points = []
-        for a in alphas:
-            if a == 0:
-                ideal = scatter_all_states(f_in, 1.0, params, backend="analytic")
-                points.append(
-                    FidelityPoint(0.0, 1.0, _per_state_triples(ideal), input_mean_photon(0.0))
-                )
-                continue
-            scaled = {
+        runs = [
+            {
                 lab: replace(r, alpha_in=a, alpha_out=a * (r.alpha_out / r.alpha_in))
                 for lab, r in shared.items()
             }
-            fid = gate_fidelity(GateInputs(a, scaled))
-            points.append(
-                FidelityPoint(abs(a) ** 2, fid, _per_state_triples(scaled), input_mean_photon(a))
-            )
-        return points
-
-    tasks = [(params, f_in, a, backend, fock_dim) for a in alphas]
-    nw = _workers()
-    if nw > 1:
-        with ProcessPoolExecutor(max_workers=nw) as pool:
-            return list(pool.map(_fidelity_point_at_alpha, tasks))
-    return [_fidelity_point_at_alpha(t) for t in tasks]
-
-
-def _fidelity_point_at_fraction(args) -> FidelityPoint:
-    params, tau, alpha, backend, fock_dim, x = args
-    varied = replace(params, g_coupling=params.g_coupling * (1.0 + x))
-    _, f_in = _default_pulse(varied, tau)
-    results = scatter_all_states(f_in, alpha, varied, backend=backend, fock_dim=fock_dim)
-    fid = gate_fidelity(GateInputs(alpha, results))
-    return FidelityPoint(x, fid, _per_state_triples(results), input_mean_photon(alpha))
+            for a in driven
+        ]
+    else:
+        runs = scatter_batch(f_in, [(a, params) for a in driven], backend, fock_dim)
+    by_alpha = iter(runs)
+    return [
+        _zero_point(f_in, params) if a == 0 else _point(abs(a) ** 2, a, next(by_alpha))
+        for a in alphas
+    ]
 
 
 def sweep_coupling_variation(
@@ -231,15 +176,17 @@ def sweep_coupling_variation(
     tau: float | None = None,
     fock_dim: int = 16,
 ) -> list[FidelityPoint]:
-    """Fidelity versus fractional coupling change g -> g (1 + x)."""
+    """Fidelity versus fractional coupling change g -> g (1 + x).
+
+    The pulse grid depends on tau and kappa only, so one pulse serves
+    every point; meanfield and master integrate all points as one batch.
+    """
     fractions = [float(x) for x in dg_fractions]
     for x in fractions:
         if not -1.0 < x <= 1.0:
             raise ValueError(f"coupling fraction {x} outside (-1, 1]")
-    tau_val = tau if tau is not None else 10.0 / params.kappa
-    tasks = [(params, tau_val, complex(alpha), backend, fock_dim, x) for x in fractions]
-    nw = _workers()
-    if nw > 1:
-        with ProcessPoolExecutor(max_workers=nw) as pool:
-            return list(pool.map(_fidelity_point_at_fraction, tasks))
-    return [_fidelity_point_at_fraction(t) for t in tasks]
+    alpha = complex(alpha)
+    f_in = _default_pulse(params, tau)
+    varied = [replace(params, g_coupling=params.g_coupling * (1.0 + x)) for x in fractions]
+    runs = scatter_batch(f_in, [(alpha, p) for p in varied], backend, fock_dim)
+    return [_point(x, alpha, res) for x, res in zip(fractions, runs)]

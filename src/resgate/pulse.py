@@ -12,13 +12,11 @@ disagreement between the two).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError
 
 NORM_TOL = 1e-9
 
@@ -117,21 +115,6 @@ def overlap(a: Pulse, b: Pulse) -> complex:
     return complex(np.trapezoid(np.conj(a.envelope) * b.envelope, dx=a.grid.dt))
 
 
-def mismatch_epsilon(f_in: Pulse, f_out: Pulse) -> float:
-    """Mode-mismatch measure 1 - |<f_in, f_out>| for normalized pulses.
-
-    Phase-insensitive by construction; the reflection phase is tracked
-    separately by the scattering results.
-    """
-    for p, name in ((f_in, "f_in"), (f_out, "f_out")):
-        if not p.is_normalized():
-            raise ValueError(f"{name} is not normalized ({p.norm_sq():0.6g})")
-    mag = abs(overlap(f_in, f_out))
-    if mag > 1.0 + 1e-6:
-        raise NumericsError(f"overlap magnitude {mag} breaks the Cauchy-Schwarz bound")
-    return max(0.0, 1.0 - mag)
-
-
 @dataclass
 class Spectrum:
     """DFT samples in angular frequency, stored in FFT bin order.
@@ -164,13 +147,3 @@ def inverse_spectrum(s: Spectrum) -> Pulse:
     env = np.fft.ifft(s.values * math.sqrt(2.0 * math.pi) / s.grid.dt)
     return Pulse(s.grid, env)
 
-
-def pulse_to_csv(p: Pulse, path: str) -> None:
-    t = p.times()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t_s", "re_f", "im_f"])
-        for k in range(p.grid.n_samples):
-            w.writerow(
-                [f"{t[k]:.12g}", f"{p.envelope[k].real:.12g}", f"{p.envelope[k].imag:.12g}"]
-            )

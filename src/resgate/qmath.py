@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError
 
 # A "matrix" throughout this package is a 2-D complex128 ndarray.
 ComplexMatrix = np.ndarray
@@ -127,28 +126,3 @@ class DensityMatrix:
         return float(
             np.trace(self.matrix @ self.space.fock_tail_projector(levels)).real
         )
-
-    def validate(
-        self,
-        trace_tol: float = 1e-9,
-        herm_tol: float = 1e-9,
-        eig_tol: float = -1e-7,
-    ) -> None:
-        """Raise NumericsError if the state breaks its invariants."""
-        te = self.trace_error()
-        if te > trace_tol:
-            raise NumericsError(f"density matrix trace off by {te:.3e}")
-        he = self.hermiticity_error()
-        if he > herm_tol:
-            raise NumericsError(f"density matrix non-Hermitian by {he:.3e}")
-        ev = self.min_eigenvalue()
-        if ev < eig_tol:
-            raise NumericsError(f"density matrix has eigenvalue {ev:.3e}")
-
-
-def expectation(rho: DensityMatrix, op: ComplexMatrix) -> complex:
-    """tr(rho O)."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape != rho.matrix.shape:
-        raise ValueError(f"operator shape {op.shape} does not match state {rho.matrix.shape}")
-    return complex(np.trace(rho.matrix @ op))

@@ -28,7 +28,7 @@ import numpy as np
 from .device import DeviceParams
 from .errors import NumericsError
 from .pulse import Pulse, Spectrum, inverse_spectrum, overlap, spectrum
-from .qmath import DensityMatrix, HilbertSpace, expectation
+from .qmath import DensityMatrix, HilbertSpace
 
 PASSIVITY_SLACK = 1e-6
 
@@ -218,6 +218,105 @@ def _upsample(values: np.ndarray, factor: int = 8) -> np.ndarray:
     return np.fft.ifft(out) * factor
 
 
+def _rk4(rhs, y, drive, h, n_samples, on_sample):
+    """Classical fixed-step RK4 of a batch of states; the one time stepper.
+
+    Takes four steps of size h per grid interval.  `drive` is the forcing
+    upsampled eightfold (see _upsample), so drive[2j], drive[2j+1] and
+    drive[2j+2] are its values at the start, middle and end of step j.
+    `rhs(y, b)` returns dy/dt of the whole batch at drive value b, and
+    `on_sample(k, y)` sees the state at grid point k = 0..n_samples-1.
+    """
+    n = n_samples
+    on_sample(0, y)
+    for j in range(4 * (n - 1)):
+        b0, bm, b1 = drive[2 * j], drive[2 * j + 1], drive[2 * j + 2]
+        k1 = rhs(y, b0)
+        k2 = rhs(y + 0.5 * h * k1, bm)
+        k3 = rhs(y + 0.5 * h * k2, bm)
+        k4 = rhs(y + h * k3, b1)
+        y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if (j + 1) % 4 == 0:
+            on_sample((j + 1) // 4, y)
+    return y
+
+
+def _shared_params(jobs) -> DeviceParams:
+    """The device of a batch, whose jobs may differ only in g_coupling."""
+    first = jobs[0][2]
+    for _, _, p in jobs:
+        if (p.kappa, p.t1, p.detuning) != (first.kappa, first.t1, first.detuning):
+            raise ValueError("a batch must share kappa, t1 and detuning")
+    return first
+
+
+def _reflect_meanfield_batch(f_in: Pulse, jobs) -> list[ReflectionResult]:
+    """reflect_meanfield of each (alpha, state, params) job, as one batch."""
+    if not f_in.is_normalized():
+        raise ValueError("input pulse must be normalized")
+    for a, _, _ in jobs:
+        if not np.isfinite(a) or a == 0:
+            raise ValueError("alpha must be finite and nonzero")
+    p = _shared_params(jobs)
+    n = f_in.grid.n_samples
+    b_size = len(jobs)
+    alpha = np.array([a for a, _, _ in jobs], dtype=complex)
+    ge = np.array([st.g_eff(q.g_coupling) for _, st, q in jobs])
+    ige = 1j * ge
+    ge4 = 4.0 * ge
+    sk = math.sqrt(p.kappa)
+    decay = -(1j * -p.detuning + p.kappa / 2.0)
+    # Constants enter as arrays of the batch's shape and dtype: numpy
+    # converts a Python scalar operand on every call, which costs as much
+    # as the arithmetic itself at these sizes.
+    decay_re, decay_im, sk_b, minus_2t1 = (
+        np.full(b_size, v, dtype=complex) for v in (decay.real, decay.imag, sk, -2.0 * p.t1)
+    )
+    minus_t1 = np.full(b_size, -p.t1)
+    one = np.ones(b_size)
+    c_traj = np.empty((b_size, n), dtype=complex)
+    max_s = np.zeros(b_size)
+    max_z = np.full(b_size, -1.0)
+
+    # numpy's vector loops may fuse the multiply-adds of a complex product;
+    # its scalar arithmetic does not.  So each product below has a real or
+    # an imaginary factor, except b * alpha, which keeps the operand order
+    # of the vector product (upsampled envelope times alpha) it replaces,
+    # and -x/d is written x/(-d), which rounds the same.  The <z> equation
+    # uses -2i g (c s* - c* s) = 4 g Im(c s*).  A batch then rounds exactly
+    # as one trajectory stepped in scalar arithmetic.
+    def rhs(y, b):
+        c, s, z = y
+        dc = decay_re * c + decay_im * (1j * c) - ige * s - sk_b * (b * alpha)
+        ds = s / minus_2t1 + ige * z * c
+        dz = (z.real + one) / minus_t1 + ge4 * (c.imag * s.real - c.real * s.imag)
+        return np.array([dc, ds, dz])
+
+    def on_sample(k, y):
+        c_traj[:, k] = y[0]
+        # hypot rounds as the scalar abs does; np.abs of an array may not
+        np.maximum(max_s, np.hypot(y[1].real, y[1].imag), out=max_s)
+        np.maximum(max_z, y[2].real, out=max_z)
+
+    y0 = np.zeros((3, b_size), dtype=complex)
+    y0[2] = -1.0
+    _rk4(rhs, y0, _upsample(f_in.envelope), f_in.grid.dt / 4.0, n, on_sample)
+
+    out = []
+    for k, (a, st, q) in enumerate(jobs):
+        peak_excitation = float((1.0 + max_z[k]) / 2.0)
+        diags = {
+            "c_trajectory": c_traj[k],
+            "peak_photon": float(np.max(np.abs(c_traj[k]) ** 2)),
+            "max_sigma_abs": float(max_s[k]),
+            "peak_excitation": peak_excitation,
+            "unreliable": peak_excitation > MEANFIELD_EXCITATION_BOUND,
+        }
+        g_out = a * f_in.envelope + sk * c_traj[k]
+        out.append(_decompose(f_in, g_out, a, st, q, "meanfield", diags))
+    return out
+
+
 def reflect_meanfield(
     f_in: Pulse, alpha: complex, state: JointState, params: DeviceParams
 ) -> ReflectionResult:
@@ -238,57 +337,7 @@ def reflect_meanfield(
     MEANFIELD_EXCITATION_BOUND, past which the factorisation error is
     larger than the backend's stated accuracy.
     """
-    if not f_in.is_normalized():
-        raise ValueError("input pulse must be normalized")
-    if not np.isfinite(alpha) or alpha == 0:
-        raise ValueError("alpha must be finite and nonzero")
-    ge = state.g_eff(params.g_coupling)
-    kappa = params.kappa
-    t1 = params.t1
-    d5 = -params.detuning
-    sk = math.sqrt(kappa)
-    n = f_in.grid.n_samples
-    h = f_in.grid.dt / 4.0
-    fine = _upsample(f_in.envelope) * alpha
-
-    c = 0.0j
-    s = 0.0j
-    z = -1.0
-    c_traj = np.empty(n, dtype=complex)
-    c_traj[0] = c
-    max_s = 0.0
-    max_z = z
-
-    def rhs(c_, s_, z_, drive):
-        dc = -(1j * d5 + kappa / 2.0) * c_ - 1j * ge * s_ - sk * drive
-        ds = -s_ / (2.0 * t1) + 1j * ge * z_ * c_
-        dz = -(z_ + 1.0) / t1 - 2j * ge * (c_ * np.conj(s_) - np.conj(c_) * s_)
-        return dc, ds, dz.real
-
-    for j in range(4 * (n - 1)):
-        b0, bm, b1 = fine[2 * j], fine[2 * j + 1], fine[2 * j + 2]
-        k1 = rhs(c, s, z, b0)
-        k2 = rhs(c + 0.5 * h * k1[0], s + 0.5 * h * k1[1], z + 0.5 * h * k1[2], bm)
-        k3 = rhs(c + 0.5 * h * k2[0], s + 0.5 * h * k2[1], z + 0.5 * h * k2[2], bm)
-        k4 = rhs(c + h * k3[0], s + h * k3[1], z + h * k3[2], b1)
-        c += h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        s += h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        z += h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        if (j + 1) % 4 == 0:
-            c_traj[(j + 1) // 4] = c
-            max_s = max(max_s, abs(s))
-            max_z = max(max_z, z)
-
-    g_out = alpha * f_in.envelope + sk * c_traj
-    peak_excitation = float((1.0 + max_z) / 2.0)
-    diags = {
-        "c_trajectory": c_traj,
-        "peak_photon": float(np.max(np.abs(c_traj) ** 2)),
-        "max_sigma_abs": max_s,
-        "peak_excitation": peak_excitation,
-        "unreliable": peak_excitation > MEANFIELD_EXCITATION_BOUND,
-    }
-    return _decompose(f_in, g_out, alpha, state, params, "meanfield", diags)
+    return _reflect_meanfield_batch(f_in, [(alpha, state, params)])[0]
 
 
 @dataclass
@@ -299,6 +348,48 @@ class MasterRun:
     expectations: dict[str, np.ndarray]
     final_state: DensityMatrix
     trace_drift: float
+
+
+def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
+    """evolve_master of a batch: element k has coupling g_eff[k], drive
+    scale[k] * drive (already upsampled) and initial state rho[k].
+
+    Returns the records {name: (B, n_samples)}, the final states and the
+    trace drift of each element.
+    """
+    kappa = params.kappa
+    t1 = params.t1
+    sk = math.sqrt(kappa)
+    C = space.cavity_op()
+    Cd = C.conj().T
+    Sm = space.charge_lower_op()
+    Sp = Sm.conj().T
+    n_c = Cd @ C
+    # H_eff = H - (i/2)(kappa c^d c + s+ s- / T1) carries the Lindblad
+    # anticommutators, so each rhs takes 6 matrix products
+    h_eff = -params.detuning * n_c - 0.5j * (kappa * n_c + (1.0 / t1) * (Sp @ Sm))
+    h_eff = h_eff + g_eff[:, None, None] * (Sp @ C + Sm @ Cd)
+    n = grid.n_samples
+    records = {name: np.empty((len(rho), n), dtype=complex) for name in ops}
+    drift = np.zeros(len(rho))
+
+    def rhs(r, b):
+        beta = (b * scale)[:, None, None]
+        hmat = h_eff + 1j * sk * (np.conj(beta) * C - beta * Cd)
+        out = -1j * (hmat @ r - r @ np.conj(hmat).swapaxes(1, 2))
+        out += kappa * (C @ r @ Cd)
+        out += (1.0 / t1) * (Sm @ r @ Sp)
+        return out
+
+    def on_sample(k, r):
+        for name, op in ops.items():
+            records[name][:, k] = np.trace(r @ op, axis1=1, axis2=2)
+        np.maximum(drift, np.abs(np.trace(r, axis1=1, axis2=2) - 1.0), out=drift)
+
+    rho = _rk4(rhs, rho, drive, grid.dt / 4.0, n, on_sample)
+    if drift.max() > 1e-6:
+        raise NumericsError(f"master-equation trace drifted by {drift.max():.3e}")
+    return records, rho, drift
 
 
 def evolve_master(
@@ -318,64 +409,22 @@ def evolve_master(
     drive evaluated at stage times via trigonometric upsampling of beta.
     Trace drift beyond 1e-6 aborts with NumericsError.
     """
-    n = grid.n_samples
     beta = np.asarray(beta, dtype=complex)
-    if beta.shape != (n,):
+    if beta.shape != (grid.n_samples,):
         raise ValueError("beta must be sampled on the grid")
-    kappa = params.kappa
-    t1 = params.t1
-    d5 = -params.detuning
-    sk = math.sqrt(kappa)
-
-    C = space.cavity_op()
-    Cd = C.conj().T
-    Sm = space.charge_lower_op()
-    Sp = Sm.conj().T
-    h0 = d5 * (Cd @ C) + g_eff * (Sp @ C + Sm @ Cd)
-    n_c = Cd @ C
-    n_s = Sp @ Sm
-
     ops = dict(record_ops or {})
-    ops.setdefault("c", C)
+    ops.setdefault("c", space.cavity_op())
     for name, op in ops.items():
         if op.shape != (space.dim, space.dim):
             raise ValueError(f"record op {name!r} has wrong shape")
-
-    fine = _upsample(beta)
-    h = grid.dt / 4.0
-    rho = rho0.matrix.copy()
-    records = {name: np.empty(n, dtype=complex) for name in ops}
-    for name, op in ops.items():
-        records[name][0] = np.trace(rho @ op)
-    drift = abs(float(np.trace(rho).real) - 1.0)
-
-    def rhs(r, b):
-        hmat = h0 + 1j * sk * (np.conj(b) * C - b * Cd)
-        out = -1j * (hmat @ r - r @ hmat)
-        out += kappa * (C @ r @ Cd - 0.5 * (n_c @ r + r @ n_c))
-        out += (1.0 / t1) * (Sm @ r @ Sp - 0.5 * (n_s @ r + r @ n_s))
-        return out
-
-    for j in range(4 * (n - 1)):
-        b0, bm, b1 = fine[2 * j], fine[2 * j + 1], fine[2 * j + 2]
-        k1 = rhs(rho, b0)
-        k2 = rhs(rho + 0.5 * h * k1, bm)
-        k3 = rhs(rho + 0.5 * h * k2, bm)
-        k4 = rhs(rho + h * k3, b1)
-        rho = rho + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if (j + 1) % 4 == 0:
-            k = (j + 1) // 4
-            for name, op in ops.items():
-                records[name][k] = np.trace(rho @ op)
-            drift = max(drift, abs(complex(np.trace(rho)) - 1.0))
-
-    if drift > 1e-6:
-        raise NumericsError(f"master-equation trace drifted by {drift:.3e}")
+    records, rho, drift = _evolve_master_batch(
+        space, np.array([g_eff]), params, grid, _upsample(beta), np.ones(1), rho0.matrix[None], ops
+    )
     return MasterRun(
         times=grid.times(),
-        expectations=records,
-        final_state=DensityMatrix(space, rho),
-        trace_drift=drift,
+        expectations={name: rec[0] for name, rec in records.items()},
+        final_state=DensityMatrix(space, rho[0]),
+        trace_drift=float(drift[0]),
     )
 
 
@@ -383,6 +432,46 @@ def required_fock_dim(alpha: complex, f_in: Pulse, kappa: float) -> float:
     """Sizing heuristic for the Fock truncation under a coherent drive."""
     peak = float(np.max(np.abs(f_in.envelope)))
     return (4.0 * abs(alpha) * peak / math.sqrt(kappa)) ** 2
+
+
+def _reflect_master_batch(f_in: Pulse, jobs, fock_dim: int) -> list[ReflectionResult]:
+    """reflect_master of each (alpha, state, params) job, as one batch."""
+    if not f_in.is_normalized():
+        raise ValueError("input pulse must be normalized")
+    for a, _, q in jobs:
+        need = required_fock_dim(a, f_in, q.kappa)
+        if fock_dim < need:
+            raise ValueError(
+                f"fock_dim {fock_dim} below sizing heuristic {need:.1f} for |alpha|={abs(a):.3g}"
+            )
+    space = HilbertSpace(fock_dim)
+    C = space.cavity_op()
+    records, rho, drift = _evolve_master_batch(
+        space,
+        np.array([st.g_eff(q.g_coupling) for _, st, q in jobs]),
+        _shared_params(jobs),
+        f_in.grid,
+        _upsample(f_in.envelope),
+        np.array([a for a, _, _ in jobs], dtype=complex),
+        np.repeat(DensityMatrix.ground(space).matrix[None], len(jobs), axis=0),
+        {"c": C, "n": C.conj().T @ C},
+    )
+    out = []
+    for k, (a, st, q) in enumerate(jobs):
+        final = DensityMatrix(space, rho[k])
+        c_traj = records["c"][k]
+        tail = final.fock_tail()
+        diags = {
+            "c_trajectory": c_traj,
+            "peak_photon": float(np.max(records["n"][k].real)),
+            "trace_drift": float(drift[k]),
+            "fock_tail": tail,
+            "min_eigenvalue": final.min_eigenvalue(),
+            "unreliable": tail > 1e-4,
+        }
+        g_out = a * f_in.envelope + math.sqrt(q.kappa) * c_traj
+        out.append(_decompose(f_in, g_out, a, st, q, "master", diags))
+    return out
 
 
 def reflect_master(
@@ -393,36 +482,7 @@ def reflect_master(
     fock_dim: int = 16,
 ) -> ReflectionResult:
     """Density-matrix reflection; the reference backend at small alpha."""
-    if not f_in.is_normalized():
-        raise ValueError("input pulse must be normalized")
-    need = required_fock_dim(alpha, f_in, params.kappa)
-    if fock_dim < need:
-        raise ValueError(
-            f"fock_dim {fock_dim} below sizing heuristic {need:.1f} for |alpha|={abs(alpha):.3g}"
-        )
-    space = HilbertSpace(fock_dim)
-    run = evolve_master(
-        space,
-        state.g_eff(params.g_coupling),
-        params,
-        f_in.grid,
-        alpha * f_in.envelope,
-        DensityMatrix.ground(space),
-        record_ops={"c": space.cavity_op(), "n": space.cavity_op().conj().T @ space.cavity_op()},
-    )
-    c_traj = run.expectations["c"]
-    g_out = alpha * f_in.envelope + math.sqrt(params.kappa) * c_traj
-
-    tail = run.final_state.fock_tail()
-    diags = {
-        "c_trajectory": c_traj,
-        "peak_photon": float(np.max(run.expectations["n"].real)),
-        "trace_drift": run.trace_drift,
-        "fock_tail": tail,
-        "min_eigenvalue": run.final_state.min_eigenvalue(),
-        "unreliable": tail > 1e-4,
-    }
-    return _decompose(f_in, g_out, alpha, state, params, "master", diags)
+    return _reflect_master_batch(f_in, [(alpha, state, params)], fock_dim)[0]
 
 
 def _analytic_result(
@@ -449,6 +509,38 @@ def _analytic_result(
     )
 
 
+_RUN_LABELS = ("00", "01", "11")     # 10 mirrors 01
+
+
+def scatter_batch(
+    f_in: Pulse, points, backend: str, fock_dim: int = 16
+) -> list[dict[str, ReflectionResult]]:
+    """scatter_all_states at each (alpha, params) point.
+
+    meanfield and master integrate every state of every point as one
+    batch, so the points must share kappa, t1 and detuning.
+    """
+    if backend not in ("analytic", "filter", "meanfield", "master"):
+        raise ValueError(f"unknown backend {backend!r}")
+    jobs = [(a, joint_state(lab), p) for a, p in points for lab in _RUN_LABELS]
+    if backend == "analytic":
+        flat = [_analytic_result(f_in, a, st, p) for a, st, p in jobs]
+    elif backend == "filter":
+        flat = [reflect_filter_pulse(f_in, st, p, alpha=a) for a, st, p in jobs]
+    elif not jobs:
+        flat = []
+    elif backend == "meanfield":
+        flat = _reflect_meanfield_batch(f_in, jobs)
+    else:
+        flat = _reflect_master_batch(f_in, jobs, fock_dim)
+    out = []
+    for i in range(0, len(flat), len(_RUN_LABELS)):
+        res = dict(zip(_RUN_LABELS, flat[i : i + len(_RUN_LABELS)]))
+        res["10"] = replace(res["01"], state=joint_state("10"))
+        out.append(res)
+    return out
+
+
 def scatter_all_states(
     f_in: Pulse,
     alpha: complex,
@@ -457,21 +549,4 @@ def scatter_all_states(
     fock_dim: int = 16,
 ) -> dict[str, ReflectionResult]:
     """Run one backend for all four joint states; 01 and 10 share a run."""
-    if backend not in ("analytic", "filter", "meanfield", "master"):
-        raise ValueError(f"unknown backend {backend!r}")
-
-    def one(label: str) -> ReflectionResult:
-        st = joint_state(label)
-        if backend == "analytic":
-            return _analytic_result(f_in, alpha, st, params)
-        if backend == "filter":
-            return reflect_filter_pulse(f_in, st, params, alpha=alpha)
-        if backend == "meanfield":
-            return reflect_meanfield(f_in, alpha, st, params)
-        return reflect_master(f_in, alpha, st, params, fock_dim=fock_dim)
-
-    out = {}
-    for label in ("00", "01", "11"):
-        out[label] = one(label)
-    out["10"] = replace(out["01"], state=joint_state("10"))
-    return out
+    return scatter_batch(f_in, [(alpha, params)], backend, fock_dim)[0]

@@ -6,7 +6,7 @@ import pytest
 from resgate.device import reference_device
 from resgate.pulse import TimeGrid, default_grid, gaussian_pulse
 from resgate.qmath import DensityMatrix, HilbertSpace
-from resgate.scattering import evolve_master, joint_state, reflect_master
+from resgate.scattering import evolve_master, scatter_all_states
 
 
 @pytest.fixture(scope="session")
@@ -84,14 +84,14 @@ def charge_decay_run(ref, master_hygiene):
 @pytest.fixture(scope="session")
 def master_half_runs(ref, ref_pulse, master_hygiene):
     """Density-matrix reflection of the reference pulse at alpha = 0.5."""
+    runs = scatter_all_states(ref_pulse, 0.5, ref, backend="master", fock_dim=16)
     out = {}
     for lab in ("00", "01", "11"):
-        r = reflect_master(ref_pulse, 0.5, joint_state(lab), ref, fock_dim=16)
-        d = r.diagnostics
+        d = runs[lab].diagnostics
         master_hygiene.append(
             (f"reflect_{lab}", d["trace_drift"], d["min_eigenvalue"], d["fock_tail"])
         )
-        out[lab] = r
+        out[lab] = runs[lab]
     return out
 
 
@@ -100,14 +100,14 @@ def master_in_range_runs(ref, ref_pulse, master_hygiene):
     """Density-matrix reflection at alpha = 0.25, where meanfield reports
     every state inside its validity bound.  Fock 8 leaves a truncation
     tail below 1e-100 at this amplitude."""
+    runs = scatter_all_states(ref_pulse, 0.25, ref, backend="master", fock_dim=8)
     out = {}
     for lab in ("00", "01", "11"):
-        r = reflect_master(ref_pulse, 0.25, joint_state(lab), ref, fock_dim=8)
-        d = r.diagnostics
+        d = runs[lab].diagnostics
         master_hygiene.append(
             (f"reflect_in_range_{lab}", d["trace_drift"], d["min_eigenvalue"], d["fock_tail"])
         )
-        out[lab] = r
+        out[lab] = runs[lab]
     return out
 
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +54,18 @@ def test_config_error_cases(tmp_path):
     badbackend.write_text(DEFAULT_CFG.read_text().replace("backend = filter", "backend = magic"))
     with pytest.raises(ConfigError, match="backend"):
         load_config(badbackend)
+
+    # non-finite numbers are configuration errors, not numerics failures
+    for old, new in (
+        ("g_over_2pi_MHz = 120", "g_over_2pi_MHz = inf"),
+        ("kappa_over_2pi_MHz = 100", "kappa_over_2pi_MHz = nan"),
+        ("points = 0:22:23", "points = 0:inf:3"),
+        ("points = 0:22:23", "points = 0,nan"),
+    ):
+        nonfinite = tmp_path / "nonfinite.cfg"
+        nonfinite.write_text(DEFAULT_CFG.read_text().replace(old, new))
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(nonfinite)
 
 
 def test_missing_config_exit_code(tmp_path, capsys):
@@ -118,6 +133,29 @@ def test_fidelity_coupling_kind(tmp_path):
     assert code == 0
     header, rows = _read_csv(tmp_path / "fidelity.csv")
     assert [float(r[0]) for r in rows] == [-0.5, 0.0, 0.5]
+
+
+def test_unreliable_points_warn_on_stderr(tmp_path, capsys):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(DEFAULT_CFG.read_text().replace("points = 0:22:23", "points = 0:1:2"))
+    args = ["fidelity", "--config", str(cfg), "--out", str(tmp_path)]
+    assert main(args + ["--backend", "meanfield"]) == 0
+    out = capsys.readouterr()
+    # alpha = 1 drives the charge of 00 and 01 past the meanfield bound
+    assert out.err == "warning: 1 of 2 points have a state outside the validity range of the meanfield backend\n"
+    assert "warning" not in out.out
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_imports_no_scipy():
+    code = "import sys, resgate.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_numerics_exit_code(tmp_path, capsys):

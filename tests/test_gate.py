@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
@@ -9,10 +8,8 @@ from _oracles import brute_force_gate_fidelity, coherent_overlap_gate_fidelity
 from resgate.errors import NumericsError
 from resgate.gate import (
     GateInputs,
-    TwoQubitState,
-    cpf_ideal,
+    _per_state_triples,
     gate_fidelity,
-    gate_time_estimate,
     input_mean_photon,
     photon_loss_eta_global,
     sweep_coupling_variation,
@@ -39,18 +36,6 @@ def _ideal_results(alpha, f_out):
             diagnostics={},
         )
     return out
-
-
-def test_two_qubit_state_norm():
-    TwoQubitState(np.array([1.0, 1.0, 1.0, 1.0]) / 2.0)
-    with pytest.raises(ValueError):
-        TwoQubitState(np.array([1.0, 1.0, 0.0, 0.0]))
-
-
-def test_cpf_flips_last_amplitude():
-    psi = TwoQubitState(np.array([0.5, 0.5, 0.5, 0.5]))
-    out = cpf_ideal(psi)
-    assert np.allclose(out.amplitudes, [0.5, 0.5, 0.5, -0.5])
 
 
 def test_gate_inputs_validation(ref_pulse):
@@ -156,13 +141,6 @@ def test_input_mean_photon():
     assert input_mean_photon(5.0) == pytest.approx(25.0, rel=1e-9)
 
 
-def test_gate_time_estimate():
-    assert gate_time_estimate(1.6e-8) == 1.6e-8
-    assert gate_time_estimate(3.2e-8) == 2 * gate_time_estimate(1.6e-8)
-    with pytest.raises(ValueError):
-        gate_time_estimate(0.0)
-
-
 def test_photon_sweep_shares_linear_scatter(ref):
     pts = sweep_photon_number(ref, [0.0, 0.5, 2.0], backend="filter")
     assert [p.x_value for p in pts] == [0.0, 0.25, 4.0]
@@ -188,14 +166,15 @@ def test_coupling_sweep_rejects_bad_fractions(ref):
         sweep_coupling_variation(ref, [1.5], 0.5)
 
 
-def test_worker_pool_matches_serial(ref):
+def test_batched_sweep_matches_single_points(ref, ref_pulse):
+    # the sweep integrates both amplitudes and all states as one batch;
+    # each point must equal its own three-state run, bit for bit
     alphas = [0.3, 0.6]
-    serial = sweep_photon_number(ref, alphas, backend="meanfield")
-    os.environ["SIM_WORKERS"] = "2"
-    try:
-        pooled = sweep_photon_number(ref, alphas, backend="meanfield")
-    finally:
-        del os.environ["SIM_WORKERS"]
-    for a, b in zip(serial, pooled):
-        assert a.fidelity == b.fidelity
-        assert a.per_state == b.per_state
+    batched = sweep_photon_number(ref, alphas, backend="meanfield")
+    for a, point in zip(alphas, batched):
+        single = scatter_all_states(ref_pulse, a, ref, backend="meanfield")
+        assert point.fidelity == gate_fidelity(GateInputs(a, single))
+        assert point.per_state == _per_state_triples(single)
+        assert point.unreliable == any(r.diagnostics["unreliable"] for r in single.values())
+    # a sweep of zero amplitudes leaves the batch empty
+    assert sweep_photon_number(ref, [0.0], backend="master")[0].fidelity == 1.0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from _oracles import gaussian_peak_sq, gaussian_shift_overlap
-from resgate.errors import NumericsError
 from resgate.pulse import (
     Pulse,
     Spectrum,
@@ -12,9 +11,7 @@ from resgate.pulse import (
     default_grid,
     gaussian_pulse,
     inverse_spectrum,
-    mismatch_epsilon,
     overlap,
-    pulse_to_csv,
     spectrum,
 )
 
@@ -95,22 +92,6 @@ def test_overlap_requires_same_grid(ref, ref_tau):
         overlap(f, g)
 
 
-def test_mismatch_epsilon_zero_for_identical(ref_pulse):
-    assert mismatch_epsilon(ref_pulse, ref_pulse) == 0.0
-
-
-def test_mismatch_epsilon_requires_normalized(ref_pulse):
-    double = Pulse(ref_pulse.grid, 2.0 * ref_pulse.envelope)
-    with pytest.raises(ValueError):
-        mismatch_epsilon(ref_pulse, double)
-
-
-def test_mismatch_epsilon_rejects_denormalized(ref_pulse):
-    bad = Pulse(ref_pulse.grid, ref_pulse.envelope * (1.0 + 5e-5))
-    with pytest.raises(ValueError):
-        mismatch_epsilon(ref_pulse, bad)
-
-
 def test_spectrum_roundtrip(ref_pulse):
     back = inverse_spectrum(spectrum(ref_pulse))
     peak = float(np.max(np.abs(ref_pulse.envelope)))
@@ -139,15 +120,3 @@ def test_gaussian_spectrum_width(ref_tau, ref_pulse):
     w = ref_tau / 5
     expected = power.max() * np.exp(-(nu**2) * w * w / 2.0)
     assert np.max(np.abs(power - expected)) < 1e-6 * power.max()
-
-
-def test_csv_roundtrip(tmp_path, ref_pulse):
-    path = tmp_path / "pulse.csv"
-    pulse_to_csv(ref_pulse, path)
-    raw = path.read_bytes()
-    assert b"\r" not in raw
-    lines = raw.decode().strip().split("\n")
-    assert lines[0] == "t_s,re_f,im_f"
-    assert len(lines) == ref_pulse.grid.n_samples + 1
-    t0, re0, im0 = (float(x) for x in lines[1].split(","))
-    assert t0 == pytest.approx(ref_pulse.grid.t_start, rel=1e-12)

@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from resgate.errors import NumericsError
 from resgate.qmath import (
     DensityMatrix,
     HilbertSpace,
     annihilation_op,
-    expectation,
     hermiticity_error,
     kron,
     sigma_minus,
@@ -95,36 +93,3 @@ def test_pure_rejects_zero_and_wrong_length():
         DensityMatrix.pure(space, np.zeros(space.dim))
     with pytest.raises(ValueError):
         DensityMatrix.pure(space, np.ones(3))
-
-
-def test_validate_flags_broken_trace():
-    space = HilbertSpace(2)
-    rho = DensityMatrix.ground(space)
-    rho.matrix[0, 0] = 1.5
-    with pytest.raises(NumericsError):
-        rho.validate()
-
-
-def test_validate_flags_negativity():
-    space = HilbertSpace(2)
-    rho = DensityMatrix.ground(space)
-    rho.matrix[1, 1] = -1e-3
-    rho.matrix[0, 0] = 1.0 + 1e-3
-    with pytest.raises(NumericsError):
-        rho.validate()
-
-
-def test_expectation_number():
-    space = HilbertSpace(4)
-    v = np.zeros(space.dim)
-    v[2] = 1.0    # charge ground, n = 2
-    rho = DensityMatrix.pure(space, v)
-    n_op = space.cavity_op().conj().T @ space.cavity_op()
-    assert expectation(rho, n_op) == pytest.approx(2.0)
-
-
-def test_expectation_shape_check():
-    space = HilbertSpace(3)
-    rho = DensityMatrix.ground(space)
-    with pytest.raises(ValueError):
-        expectation(rho, np.eye(4))

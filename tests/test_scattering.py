@@ -20,6 +20,7 @@ from resgate.scattering import (
     reflection_filter,
     required_fock_dim,
     scatter_all_states,
+    scatter_batch,
     xi_analytic,
     xi_effective,
 )
@@ -202,6 +203,51 @@ def test_master_run_records_and_hygiene(ref, master_half_runs):
         assert d["min_eigenvalue"] > -1e-7
         assert d["fock_tail"] < 1e-4
         assert not d["unreliable"]
+
+
+# epsilon, eta and phase of the alpha = 0.5, Fock 16 runs from the density-
+# matrix rhs as it stood before it was written through the effective
+# non-Hermitian Hamiltonian (10 matrix products per rhs, now 6).  The
+# rewrite changes rounding only, so the values agree to 1e-12 relative.
+# The absolute floor covers the three that are zero in exact arithmetic
+# (the 00 and 01 phases at zero detuning, the loss of the dipole-free 11),
+# where rounding and step error is all there is.
+_MASTER_HALF_FROZEN = {
+    "00": (0.034670795768072415, 0.04794886802021037, -1.5976778292967417e-17),
+    "01": (0.15077086313888377, 0.17938790639539937, -2.037532342989372e-17),
+    "11": (0.6886409151624587, 3.4849900742983664e-13, 3.141592653589793),
+}
+
+
+def test_master_half_runs_frozen_values(master_half_runs):
+    for lab, want in _MASTER_HALF_FROZEN.items():
+        r = master_half_runs[lab]
+        assert (r.epsilon, r.eta, r.phase) == pytest.approx(want, rel=1e-12, abs=1e-15), lab
+
+
+def test_batch_elements_equal_single_runs(ref, ref_tau):
+    # a quarter of the default samples keeps this cheap; both sides share it
+    pulse = gaussian_pulse(ref_tau, default_grid(ref_tau, ref.kappa, n_samples=705))
+    # meanfield: bit for bit, whatever the batch holds
+    batch = scatter_batch(pulse, [(0.3, ref), (0.6, ref)], backend="meanfield")
+    single = reflect_meanfield(pulse, 0.6, joint_state("01"), ref)
+    for key in ("c_trajectory", "peak_excitation", "max_sigma_abs"):
+        got = np.asarray(batch[1]["01"].diagnostics[key])
+        assert got.tobytes() == np.asarray(single.diagnostics[key]).tobytes(), key
+    # master: a batched matrix product may round differently, nothing more
+    batch = scatter_batch(pulse, [(0.05, ref), (0.1, ref)], backend="master", fock_dim=4)
+    single = reflect_master(pulse, 0.1, joint_state("00"), ref, fock_dim=4)
+    np.testing.assert_allclose(
+        batch[1]["00"].diagnostics["c_trajectory"], single.diagnostics["c_trajectory"],
+        rtol=1e-12, atol=1e-15 * np.abs(single.diagnostics["c_trajectory"]).max(),
+    )
+    assert batch[0]["11"].alpha_in == 0.05 and batch[1]["10"].state.label == "10"
+
+
+def test_batch_rejects_mixed_devices(ref, ref_pulse):
+    other = dataclasses.replace(ref, kappa=2 * ref.kappa)
+    with pytest.raises(ValueError, match="share"):
+        scatter_batch(ref_pulse, [(0.3, ref), (0.3, other)], backend="meanfield")
 
 
 def test_master_close_to_meanfield_at_half_photon(ref, ref_pulse, master_half_runs):
