@@ -189,6 +189,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"[sweep] kind = {kind!r}: expected photon or coupling")
     points = _parse_points(_get(cp, "sweep", "points"), "sweep")
     alpha = _get_float(cp, "sweep", "alpha", "1")
+    if kind == "coupling" and alpha == 0:
+        raise ConfigError("[sweep] alpha must be nonzero for a coupling sweep")
 
     backend = _get(cp, "run", "backend", "filter").strip()
     if backend not in _BACKENDS:

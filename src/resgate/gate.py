@@ -186,6 +186,8 @@ def sweep_coupling_variation(
         if not -1.0 < x <= 1.0:
             raise ValueError(f"coupling fraction {x} outside (-1, 1]")
     alpha = complex(alpha)
+    if alpha == 0:
+        raise ValueError("alpha must be nonzero for a coupling sweep")
     f_in = _default_pulse(params, tau)
     varied = [replace(params, g_coupling=params.g_coupling * (1.0 + x)) for x in fractions]
     runs = scatter_batch(f_in, [(alpha, p) for p in varied], backend, fock_dim)

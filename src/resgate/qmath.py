@@ -4,7 +4,10 @@ Everything here is a plain numpy complex128 array; dimensions stay small
 (a few dozen), so dense storage and LAPACK eigensolves are the right
 tool.  Charge basis order is fixed as index 0 = ground |0>, index 1 =
 excited |a>; tensor products are charge-major, i.e. kron(charge_op,
-fock_op).
+fock_op), so composite index charge * fock_dim + n holds |charge>|n> and
+a (dim, dim) operator reshapes to (2, fock_dim, 2, fock_dim).  The
+master-equation rhs in scattering relies on this layout: it applies the
+cavity and charge jump operators as index shifts on that view.
 """
 
 from __future__ import annotations

@@ -358,32 +358,51 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
     trace drift of each element.
     """
     kappa = params.kappa
-    t1 = params.t1
     sk = math.sqrt(kappa)
+    nf = space.fock_dim
+    b_size = len(rho)
     C = space.cavity_op()
     Cd = C.conj().T
     Sm = space.charge_lower_op()
     Sp = Sm.conj().T
     n_c = Cd @ C
-    # H_eff = H - (i/2)(kappa c^d c + s+ s- / T1) carries the Lindblad
-    # anticommutators, so each rhs takes 6 matrix products
-    h_eff = -params.detuning * n_c - 0.5j * (kappa * n_c + (1.0 / t1) * (Sp @ Sm))
-    h_eff = h_eff + g_eff[:, None, None] * (Sp @ C + Sm @ Cd)
-    n = grid.n_samples
-    records = {name: np.empty((len(rho), n), dtype=complex) for name in ops}
-    drift = np.zeros(len(rho))
+    # rhs = -i(H_eff rho - rho H_eff^d) + kappa c rho c^d + s- rho s+ / T1,
+    # where H_eff = H - (i/2)(kappa c^d c + s+ s- / T1) carries the Lindblad
+    # anticommutators.  rho stays exactly Hermitian, so with x = -i H_eff rho
+    # the first term is x + x^d: one matrix product.  The jumps are index
+    # shifts on the charge-major (B, charge, Fock, charge, Fock) view of rho:
+    # c moves Fock (n+1, m+1) to (n, m), s- moves charge (1, 1) to (0, 0).
+    h_eff = -params.detuning * n_c - 0.5j * (kappa * n_c + (1.0 / params.t1) * (Sp @ Sm))
+    gen_eff = -1j * (h_eff + g_eff[:, None, None] * (Sp @ C + Sm @ Cd))
+    fock = np.arange(1, nf)
+    cavity_jump = kappa * np.sqrt(np.outer(fock, fock))[None, :, None, :]
+    charge_jump = 1.0 / params.t1
+    # RK4 evaluates each drive value twice in a row (the two midpoint
+    # stages; the end of a step and the start of the next), so the
+    # generator is rebuilt only when the value changes
+    gen = [np.nan, None]
 
     def rhs(r, b):
-        beta = (b * scale)[:, None, None]
-        hmat = h_eff + 1j * sk * (np.conj(beta) * C - beta * Cd)
-        out = -1j * (hmat @ r - r @ np.conj(hmat).swapaxes(1, 2))
-        out += kappa * (C @ r @ Cd)
-        out += (1.0 / t1) * (Sm @ r @ Sp)
+        if b != gen[0]:
+            beta = (b * scale)[:, None, None]
+            gen[:] = b, gen_eff + sk * (np.conj(beta) * C - beta * Cd)
+        x = gen[1] @ r
+        out = x + np.conj(x).swapaxes(1, 2)
+        v = out.reshape(b_size, 2, nf, 2, nf)
+        rv = r.reshape(b_size, 2, nf, 2, nf)
+        v[:, :, :-1, :, :-1] += cavity_jump * rv[:, :, 1:, :, 1:]
+        v[:, 0, :, 0, :] += charge_jump * rv[:, 1, :, 1, :]
         return out
 
+    n = grid.n_samples
+    records = {name: np.empty((b_size, n), dtype=complex) for name in ops}
+    # tr(rho op) = sum of rho * op^T, elementwise
+    op_t = {name: np.ascontiguousarray(op.T) for name, op in ops.items()}
+    drift = np.zeros(b_size)
+
     def on_sample(k, r):
-        for name, op in ops.items():
-            records[name][:, k] = np.trace(r @ op, axis1=1, axis2=2)
+        for name, opt in op_t.items():
+            records[name][:, k] = (r * opt).sum(axis=(1, 2))
         np.maximum(drift, np.abs(np.trace(r, axis1=1, axis2=2) - 1.0), out=drift)
 
     rho = _rk4(rhs, rho, drive, grid.dt / 4.0, n, on_sample)
@@ -408,10 +427,18 @@ def evolve_master(
     for the charge.  Deterministic fixed-step RK4, internal step dt/4,
     drive evaluated at stage times via trigonometric upsampling of beta.
     Trace drift beyond 1e-6 aborts with NumericsError.
+
+    rho0 must be Hermitian (hermiticity_error at most 1e-12, else
+    ValueError): the rhs forms rho H^dagger as (H rho)^dagger, which
+    holds only for Hermitian rho, and keeps rho exactly Hermitian.
     """
     beta = np.asarray(beta, dtype=complex)
     if beta.shape != (grid.n_samples,):
         raise ValueError("beta must be sampled on the grid")
+    if rho0.hermiticity_error() > 1e-12:
+        raise ValueError(
+            f"rho0 is not Hermitian (hermiticity error {rho0.hermiticity_error():.3e})"
+        )
     ops = dict(record_ops or {})
     ops.setdefault("c", space.cavity_op())
     for name, op in ops.items():

@@ -125,3 +125,60 @@ def filter_state_metrics(
     eta = 1.0 - o2 / o0
     phase = cmath.phase(o1)
     return epsilon, eta, phase
+
+
+# ---------------------------------------------------------------------------
+# dense Lindblad master equation
+
+def dense_lindblad_evolve(
+    fock_dim: int,
+    g_eff: float,
+    kappa: float,
+    t1: float,
+    detuning: float,
+    beta,
+    rho0: np.ndarray,
+    t_start: float,
+    dt: float,
+    n_samples: int,
+    record_op: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """tr(rho op) on the grid and the final rho, every operator dense.
+
+    rhs = -i(H_eff rho - rho H_eff^d) + kappa c rho c^d + s- rho s+ / T1
+    with H_eff = H - (i/2)(kappa c^d c + s+ s- / T1) and
+    H = D' c^d c + g_eff (s+ c + s- c^d) + i sqrt(kappa)(conj(b) c - b c^d),
+    D' = -detuning and b = beta(t) a callable of time.  Operators are built
+    here with kron, every superoperator term is a dense matrix product,
+    and RK4 takes four steps per grid interval with the drive evaluated
+    at each stage time.
+    """
+    a = np.diag(np.sqrt(np.arange(1, fock_dim, dtype=float)), 1).astype(complex)
+    c = np.kron(np.eye(2), a)
+    cd = c.conj().T
+    sm = np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(fock_dim)).astype(complex)
+    sp = sm.conj().T
+    h0 = -detuning * (cd @ c) + g_eff * (sp @ c + sm @ cd)
+    damp = kappa * (cd @ c) + (sp @ sm) / t1
+    sk = math.sqrt(kappa)
+
+    def rhs(rho, t):
+        b = beta(t)
+        h_eff = h0 + 1j * sk * (np.conj(b) * c - b * cd) - 0.5j * damp
+        out = -1j * (h_eff @ rho - rho @ h_eff.conj().T)
+        return out + kappa * (c @ rho @ cd) + (sm @ rho @ sp) / t1
+
+    h = dt / 4.0
+    rho = np.array(rho0, dtype=complex)
+    record = np.empty(n_samples, dtype=complex)
+    record[0] = np.trace(rho @ record_op)
+    for k in range(1, n_samples):
+        for j in range(4):
+            t = t_start + (k - 1) * dt + j * h
+            k1 = rhs(rho, t)
+            k2 = rhs(rho + 0.5 * h * k1, t + 0.5 * h)
+            k3 = rhs(rho + 0.5 * h * k2, t + 0.5 * h)
+            k4 = rhs(rho + h * k3, t + h)
+            rho = rho + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        record[k] = np.trace(rho @ record_op)
+    return record, rho

@@ -6,7 +6,7 @@ import pytest
 from resgate.device import reference_device
 from resgate.pulse import TimeGrid, default_grid, gaussian_pulse
 from resgate.qmath import DensityMatrix, HilbertSpace
-from resgate.scattering import evolve_master, scatter_all_states
+from resgate.scattering import evolve_master, scatter_all_states, scatter_batch
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +22,17 @@ def ref_tau(ref):
 @pytest.fixture(scope="session")
 def ref_pulse(ref, ref_tau):
     return gaussian_pulse(ref_tau, default_grid(ref_tau, ref.kappa))
+
+
+@pytest.fixture(scope="session")
+def meanfield_ref_runs(ref, ref_pulse):
+    """Meanfield reflection of the reference pulse at every amplitude the
+    suite checks, {alpha: {label: result}}.  One batch: a meanfield run
+    costs about as much alone as in a batch of 18, and each batch element
+    equals its single run byte for byte."""
+    alphas = (1e-3, 0.1, 0.2, 0.25, 0.5, 1.0)
+    runs = scatter_batch(ref_pulse, [(a, ref) for a in alphas], backend="meanfield")
+    return dict(zip(alphas, runs))
 
 
 @pytest.fixture(scope="session")

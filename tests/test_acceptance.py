@@ -35,7 +35,6 @@ from resgate.scattering import (
     joint_state,
     joint_states,
     reflect_filter_pulse,
-    reflect_meanfield,
     reflection_filter,
     scatter_all_states,
     xi_analytic,
@@ -96,14 +95,14 @@ def test_criterion_02_exact_decay_laws(ref, photon_decay_run, charge_decay_run, 
     assert ok
 
 
-def test_criterion_03_filter_vs_meanfield(ref, ref_pulse, acceptance_report):
+def test_criterion_03_filter_vs_meanfield(ref, ref_pulse, meanfield_ref_runs, acceptance_report):
     t0 = time.perf_counter()
     worst = 0.0
     for lab in ("00", "01", "11"):
         st = joint_state(lab)
         d = abs(
             xi_effective(reflect_filter_pulse(ref_pulse, st, ref))
-            - xi_effective(reflect_meanfield(ref_pulse, 0.1, st, ref))
+            - xi_effective(meanfield_ref_runs[0.1][lab])
         )
         worst = max(worst, d)
     ok = worst < 1e-3
@@ -115,13 +114,13 @@ def test_criterion_03_filter_vs_meanfield(ref, ref_pulse, acceptance_report):
     assert ok
 
 
-def _meanfield_vs_master(ref, ref_pulse, master_runs):
-    """Rerun meanfield at each master record's amplitude.  Per state: RMS/peak
+def _meanfield_vs_master(meanfield_runs, master_runs):
+    """Meanfield at each master record's amplitude.  Per state: RMS/peak
     gap of the cavity amplitude to the density matrix, meanfield's peak
     charge excitation and its `unreliable` flag, and the meanfield result."""
     rms, exc, flag, mfs = {}, {}, {}, {}
     for lab, ms in master_runs.items():
-        mf = reflect_meanfield(ref_pulse, ms.alpha_in, joint_state(lab), ref)
+        mf = meanfield_runs[ms.alpha_in][lab]
         c_ms = ms.diagnostics["c_trajectory"]
         c_mf = mf.diagnostics["c_trajectory"]
         peak = float(np.max(np.abs(c_ms)))
@@ -137,14 +136,14 @@ def _fmt(d, spec):
 
 
 def test_criterion_03_meanfield_vs_master(
-    ref, ref_pulse, master_in_range_runs, master_half_runs, acceptance_report
+    ref, ref_pulse, master_in_range_runs, master_half_runs, meanfield_ref_runs, acceptance_report
 ):
     t0 = time.perf_counter()
     bound = MEANFIELD_EXCITATION_BOUND
     # where meanfield reports itself valid it must agree with the density
     # matrix to 2 % ...
     alpha_in = abs(master_in_range_runs["01"].alpha_in)
-    rms_in, exc_in, flag_in, mf_in = _meanfield_vs_master(ref, ref_pulse, master_in_range_runs)
+    rms_in, exc_in, flag_in, mf_in = _meanfield_vs_master(meanfield_ref_runs, master_in_range_runs)
     in_range = not any(flag_in.values())
     agree = max(rms_in.values()) <= 0.02
     # ... at an amplitude where it is nonlinear, so the agreement is more
@@ -153,7 +152,7 @@ def test_criterion_03_meanfield_vs_master(
     nonlin = abs(xi_effective(mf_in["01"]) - xi_effective(filt_01))
     nonlinear = nonlin > 1e-3
     # ... and at alpha=0.5 it must flag the coupled states as out of range
-    rms_half, exc_half, flag_half, _ = _meanfield_vs_master(ref, ref_pulse, master_half_runs)
+    rms_half, exc_half, flag_half, _ = _meanfield_vs_master(meanfield_ref_runs, master_half_runs)
     flagged = flag_half["00"] and flag_half["01"]
 
     ok = in_range and agree and nonlinear and flagged

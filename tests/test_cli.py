@@ -67,6 +67,16 @@ def test_config_error_cases(tmp_path):
         with pytest.raises(ConfigError, match="finite"):
             load_config(nonfinite)
 
+    # a coupling sweep at zero amplitude has no reflected field to decompose
+    zero = tmp_path / "zero.cfg"
+    zero.write_text(
+        DEFAULT_CFG.read_text()
+        .replace("kind = photon", "kind = coupling")
+        .replace("alpha = 20", "alpha = 0")
+    )
+    with pytest.raises(ConfigError, match="alpha"):
+        load_config(zero)
+
 
 def test_missing_config_exit_code(tmp_path, capsys):
     code = main(["levels", "--config", str(tmp_path / "nope.cfg")])

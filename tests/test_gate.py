@@ -164,6 +164,8 @@ def test_coupling_sweep_rejects_bad_fractions(ref):
         sweep_coupling_variation(ref, [-1.0], 0.5)
     with pytest.raises(ValueError):
         sweep_coupling_variation(ref, [1.5], 0.5)
+    with pytest.raises(ValueError, match="alpha"):
+        sweep_coupling_variation(ref, [0.0], 0.0, backend="meanfield")
 
 
 def test_batched_sweep_matches_single_points(ref, ref_pulse):

@@ -1,10 +1,11 @@
+import cmath
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from _oracles import filter_state_metrics
+from _oracles import dense_lindblad_evolve, filter_state_metrics
 from resgate.errors import NumericsError
 from resgate.pulse import TimeGrid, default_grid, gaussian_pulse
 from resgate.qmath import DensityMatrix, HilbertSpace
@@ -147,21 +148,18 @@ def test_meanfield_matches_filter_in_linear_state(ref, ref_pulse):
         assert d < 1e-8
 
 
-def test_meanfield_close_to_filter_when_weakly_driven(ref, ref_pulse):
+def test_meanfield_close_to_filter_when_weakly_driven(ref, ref_pulse, meanfield_ref_runs):
     for lab in ("00", "01"):
         st = joint_state(lab)
         d = abs(
             xi_effective(reflect_filter_pulse(ref_pulse, st, ref))
-            - xi_effective(reflect_meanfield(ref_pulse, 0.1, st, ref))
+            - xi_effective(meanfield_ref_runs[0.1][lab])
         )
         assert d < 1e-3
 
 
-def test_meanfield_saturates_with_amplitude(ref, ref_pulse):
-    eps = [
-        reflect_meanfield(ref_pulse, a, joint_state("01"), ref).epsilon
-        for a in (1e-3, 0.5, 1.0)
-    ]
+def test_meanfield_saturates_with_amplitude(meanfield_ref_runs):
+    eps = [meanfield_ref_runs[a]["01"].epsilon for a in (1e-3, 0.5, 1.0)]
     assert eps[0] < eps[1] < eps[2]
 
 
@@ -170,16 +168,13 @@ def test_meanfield_rejects_zero_amplitude(ref, ref_pulse):
         reflect_meanfield(ref_pulse, 0.0, joint_state("01"), ref)
 
 
-def test_meanfield_diagnostics(ref, ref_pulse):
-    r = reflect_meanfield(ref_pulse, 0.5, joint_state("01"), ref)
+def test_meanfield_diagnostics(ref_pulse, meanfield_ref_runs):
+    r = meanfield_ref_runs[0.5]["01"]
     assert r.diagnostics["c_trajectory"].shape == (ref_pulse.grid.n_samples,)
     assert r.diagnostics["peak_photon"] > 0
     # peak charge excitation: grows as |alpha|^2 in the weak-drive regime
     # (0.0044 -> 0.0177 measured) and crosses the validity bound by 0.5
-    weak = {
-        a: reflect_meanfield(ref_pulse, a, joint_state("01"), ref).diagnostics
-        for a in (0.1, 0.2)
-    }
+    weak = {a: meanfield_ref_runs[a]["01"].diagnostics for a in (0.1, 0.2)}
     assert weak[0.1]["peak_excitation"] > 0
     assert 3.6 <= weak[0.2]["peak_excitation"] / weak[0.1]["peak_excitation"] <= 4.4
     assert weak[0.1]["peak_excitation"] < MEANFIELD_EXCITATION_BOUND
@@ -250,11 +245,11 @@ def test_batch_rejects_mixed_devices(ref, ref_pulse):
         scatter_batch(ref_pulse, [(0.3, ref), (0.3, other)], backend="meanfield")
 
 
-def test_master_close_to_meanfield_at_half_photon(ref, ref_pulse, master_half_runs):
+def test_master_close_to_meanfield_at_half_photon(master_half_runs, meanfield_ref_runs):
     # saturation physics separates the backends at the percent level;
     # this guards only against gross disagreement (sign/convention bugs)
     for lab in ("00", "01", "11"):
-        mf = reflect_meanfield(ref_pulse, 0.5, joint_state(lab), ref)
+        mf = meanfield_ref_runs[0.5][lab]
         ms = master_half_runs[lab]
         assert abs(xi_effective(mf) - xi_effective(ms)) < 0.1
         assert ms.epsilon == pytest.approx(mf.epsilon, abs=0.05)
@@ -279,6 +274,52 @@ def test_evolve_master_validates_inputs(ref):
             space, 0.0, ref, grid, np.zeros(16, complex), rho0,
             record_ops={"bad": np.eye(3)},
         )
+    # the rhs forms rho H^dagger as (H rho)^dagger, valid for Hermitian rho only
+    skew = rho0.matrix.copy()
+    skew[0, 1] = 1e-6
+    with pytest.raises(ValueError, match="Hermitian"):
+        evolve_master(space, 0.0, ref, grid, np.zeros(16, complex), DensityMatrix(space, skew))
+
+
+@pytest.mark.parametrize("fock_dim", [3, 5])
+def test_evolve_master_matches_dense_lindblad(ref, fock_dim):
+    # the rhs writes the jumps as index shifts on the (charge, Fock) view
+    # and rho H^dagger as (H rho)^dagger; the oracle takes every term as a
+    # dense matrix product.  Detuning, drive and a charge-excited start
+    # give every term of the rhs a nonzero share.
+    p = dataclasses.replace(ref, detuning=0.3 * ref.kappa)
+    g_eff = joint_state("00").g_eff(p.g_coupling)
+    n = 41
+    grid = TimeGrid(0.0, 0.025 / p.kappa, n)
+    period = n * grid.dt
+
+    # two Fourier modes periodic over the grid window: the trigonometric
+    # upsampling of the samples reproduces this function at every stage time
+    def beta(t):
+        u = 2j * math.pi * (t - grid.t_start) / period
+        return 0.4 * math.sqrt(p.kappa) * (0.6 + 0.3 * cmath.exp(u) - 0.2j * cmath.exp(-2 * u))
+
+    space = HilbertSpace(fock_dim)
+    vec = np.zeros(space.dim, dtype=complex)
+    vec[0] = 1.0                            # |0> |0>
+    vec[fock_dim] = 0.6 + 0.3j              # |a> |0>
+    vec[fock_dim + 1] = 0.5                 # |a> |1>
+    vec[2] = 0.2j                           # |0> |2>
+    rho0 = DensityMatrix.pure(space, vec)
+    c = space.cavity_op()
+    run = evolve_master(
+        space, g_eff, p, grid, np.array([beta(t) for t in grid.times()]), rho0
+    )
+    want_c, want_rho = dense_lindblad_evolve(
+        fock_dim, g_eff, p.kappa, p.t1, p.detuning, beta, rho0.matrix,
+        grid.t_start, grid.dt, n, c,
+    )
+    np.testing.assert_allclose(
+        run.expectations["c"], want_c, rtol=1e-12, atol=1e-12 * np.abs(want_c).max()
+    )
+    np.testing.assert_allclose(
+        run.final_state.matrix, want_rho, rtol=1e-12, atol=1e-12 * np.abs(want_rho).max()
+    )
 
 
 def test_evolve_master_records_default_c(ref):
