@@ -4,10 +4,11 @@ Everything here is a plain numpy complex128 array; dimensions stay small
 (a few dozen), so dense storage and LAPACK eigensolves are the right
 tool.  Charge basis order is fixed as index 0 = ground |0>, index 1 =
 excited |a>; tensor products are charge-major, i.e. kron(charge_op,
-fock_op), so composite index charge * fock_dim + n holds |charge>|n> and
-a (dim, dim) operator reshapes to (2, fock_dim, 2, fock_dim).  The
-master-equation rhs in scattering relies on this layout: it applies the
-cavity and charge jump operators as index shifts on that view.
+fock_op), so composite index i = charge * fock_dim + n holds |charge>|n>.
+The master-equation rhs in scattering relies on this layout: on the flat
+view of rho (entry (i, j) at i * dim + j), c rho c^dagger is a shift by
+dim + 1 and sigma_- rho sigma_+, which moves the excited block onto the
+ground block, a shift by fock_dim * (dim + 1).
 """
 
 from __future__ import annotations

@@ -152,6 +152,8 @@ def _decompose(
     diagnostics: dict,
 ) -> ReflectionResult:
     """Split the raw output field into amplitude, shape, and loss."""
+    if not np.all(np.isfinite(g_out)):
+        raise NumericsError(f"{backend} output field is not finite")
     dt = f_in.grid.dt
     energy = float(np.trapezoid(np.abs(g_out) ** 2, dx=dt))
     e_ratio = energy / abs(alpha) ** 2
@@ -226,16 +228,27 @@ def _rk4(rhs, y, drive, h, n_samples, on_sample):
     drive[2j+2] are its values at the start, middle and end of step j.
     `rhs(y, b)` returns dy/dt of the whole batch at drive value b, and
     `on_sample(k, y)` sees the state at grid point k = 0..n_samples-1.
+
+    In-place contract: `rhs` returns a fresh array, never a view of its
+    input, since the stage arguments share one reused buffer; the caller's
+    `y` is not modified (a copy is advanced in place), so `on_sample` must
+    copy what it keeps.  The buffers keep the operand order of
+    y + (h/6)(((k1 + 2k2) + 2k3) + k4) and change no bit.
     """
     n = n_samples
+    y = np.array(y)
+    stage, acc = np.empty_like(y), np.empty_like(y)
     on_sample(0, y)
     for j in range(4 * (n - 1)):
         b0, bm, b1 = drive[2 * j], drive[2 * j + 1], drive[2 * j + 2]
         k1 = rhs(y, b0)
-        k2 = rhs(y + 0.5 * h * k1, bm)
-        k3 = rhs(y + 0.5 * h * k2, bm)
-        k4 = rhs(y + h * k3, b1)
-        y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = rhs(np.add(y, np.multiply(0.5 * h, k1, out=stage), out=stage), bm)
+        k3 = rhs(np.add(y, np.multiply(0.5 * h, k2, out=stage), out=stage), bm)
+        k4 = rhs(np.add(y, np.multiply(h, k3, out=stage), out=stage), b1)
+        np.add(k1, np.multiply(2, k2, out=acc), out=acc)
+        np.add(acc, np.multiply(2, k3, out=stage), out=acc)
+        np.add(acc, k4, out=acc)
+        np.add(y, np.multiply(h / 6.0, acc, out=acc), out=y)
         if (j + 1) % 4 == 0:
             on_sample((j + 1) // 4, y)
     return y
@@ -359,7 +372,7 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
     """
     kappa = params.kappa
     sk = math.sqrt(kappa)
-    nf = space.fock_dim
+    nf, d = space.fock_dim, space.dim
     b_size = len(rho)
     C = space.cavity_op()
     Cd = C.conj().T
@@ -369,29 +382,43 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
     # rhs = -i(H_eff rho - rho H_eff^d) + kappa c rho c^d + s- rho s+ / T1,
     # where H_eff = H - (i/2)(kappa c^d c + s+ s- / T1) carries the Lindblad
     # anticommutators.  rho stays exactly Hermitian, so with x = -i H_eff rho
-    # the first term is x + x^d: one matrix product.  The jumps are index
-    # shifts on the charge-major (B, charge, Fock, charge, Fock) view of rho:
-    # c moves Fock (n+1, m+1) to (n, m), s- moves charge (1, 1) to (0, 0).
+    # the first term is x + x^d: one matrix product.  On the flat view of
+    # the whole batch (see qmath) c rho c^d is a shift by d+1 and s- rho s+
+    # a shift by nf(d+1), each one contiguous weighted slice; the weights
+    # are 0 where a shift crosses a charge block, a row or a batch element.
     h_eff = -params.detuning * n_c - 0.5j * (kappa * n_c + (1.0 / params.t1) * (Sp @ Sm))
     gen_eff = -1j * (h_eff + g_eff[:, None, None] * (Sp @ C + Sm @ Cd))
-    fock = np.arange(1, nf)
-    cavity_jump = kappa * np.sqrt(np.outer(fock, fock))[None, :, None, :]
-    charge_jump = 1.0 / params.t1
-    # RK4 evaluates each drive value twice in a row (the two midpoint
-    # stages; the end of a step and the start of the next), so the
-    # generator is rebuilt only when the value changes
-    gen = [np.nan, None]
+    n1 = np.arange(d) % nf + 1.0
+    cavity_w = kappa * np.sqrt(np.outer(n1, n1)) * np.outer(n1 < nf, n1 < nf)
+    ground = np.arange(d) < nf
+    charge_w = np.outer(ground, ground) / params.t1
+    cavity_w, charge_w = (
+        np.tile(w.ravel(), b_size)[: b_size * d * d - s].astype(complex)
+        for w, s in ((cavity_w, d + 1), (charge_w, nf * (d + 1)))
+    )
+    # The drive adds sqrt(kappa)(conj(beta) c - beta c^d) to the generator,
+    # written in place on the two diagonals where c and c^d live; c is real,
+    # so this rounds as the dense sum on every entry the drive reaches.
+    # RK4 meets each drive value twice in a row (the two midpoint stages;
+    # the end of a step and the start of the next): rewrite on a change only.
+    gen = gen_eff.copy()
+    sup, sub = (gen.reshape(b_size, d * d)[:, k :: d + 1] for k in (1, d))
+    eff_sup, eff_sub = sup.copy(), sub.copy()
+    c_sup = np.diagonal(C, 1)
+    last_b = [np.nan]
 
     def rhs(r, b):
-        if b != gen[0]:
-            beta = (b * scale)[:, None, None]
-            gen[:] = b, gen_eff + sk * (np.conj(beta) * C - beta * Cd)
-        x = gen[1] @ r
-        out = x + np.conj(x).swapaxes(1, 2)
-        v = out.reshape(b_size, 2, nf, 2, nf)
-        rv = r.reshape(b_size, 2, nf, 2, nf)
-        v[:, :, :-1, :, :-1] += cavity_jump * rv[:, :, 1:, :, 1:]
-        v[:, 0, :, 0, :] += charge_jump * rv[:, 1, :, 1, :]
+        if b != last_b[0]:
+            last_b[0] = b
+            u = sk * ((b * scale)[:, None] * c_sup)
+            np.add(eff_sup, np.conj(u), out=sup)
+            np.subtract(eff_sub, u, out=sub)
+        x = gen @ r
+        out = np.conjugate(x.swapaxes(1, 2), order="C")
+        out += x
+        v, rv = out.reshape(-1), r.reshape(-1)
+        v[: -d - 1] += cavity_w * rv[d + 1 :]
+        v[: -nf * (d + 1)] += charge_w * rv[nf * (d + 1) :]
         return out
 
     n = grid.n_samples
@@ -406,7 +433,8 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
         np.maximum(drift, np.abs(np.trace(r, axis1=1, axis2=2) - 1.0), out=drift)
 
     rho = _rk4(rhs, rho, drive, grid.dt / 4.0, n, on_sample)
-    if drift.max() > 1e-6:
+    # `not <=` so that a NaN drift fails as well
+    if not np.all(drift <= 1e-6):
         raise NumericsError(f"master-equation trace drifted by {drift.max():.3e}")
     return records, rho, drift
 

@@ -12,6 +12,9 @@ from resgate.qmath import DensityMatrix, HilbertSpace
 from resgate.scattering import (
     MEANFIELD_EXCITATION_BOUND,
     STATE_LABELS,
+    _decompose,
+    _evolve_master_batch,
+    _upsample,
     evolve_master,
     joint_state,
     joint_states,
@@ -135,15 +138,20 @@ def test_analytic_backend(ref, ref_pulse):
     assert out["00"].alpha_out == pytest.approx(0.7 * 1151.0 / 1153.0)
 
 
-def test_meanfield_matches_filter_in_linear_state(ref, ref_pulse):
+def test_meanfield_matches_filter_in_linear_state(ref, ref_pulse, meanfield_ref_runs):
     # uncoupled configuration: the cavity is exactly linear, so the
     # time-domain integration must reproduce the spectral filter to
-    # round-off; this pins the frequency-sign convention
-    for det in (0.0, 0.3 * ref.kappa):
-        p = dataclasses.replace(ref, detuning=det)
+    # round-off; this pins the frequency-sign convention.  The zero-
+    # detuning run comes from the session batch (equal to the single run
+    # byte for byte)
+    detuned = dataclasses.replace(ref, detuning=0.3 * ref.kappa)
+    for p, run in (
+        (ref, meanfield_ref_runs[1e-3]["11"]),
+        (detuned, reflect_meanfield(ref_pulse, 1e-3, joint_state("11"), detuned)),
+    ):
         d = abs(
             xi_effective(reflect_filter_pulse(ref_pulse, joint_state("11"), p))
-            - xi_effective(reflect_meanfield(ref_pulse, 1e-3, joint_state("11"), p))
+            - xi_effective(run)
         )
         assert d < 1e-8
 
@@ -320,6 +328,87 @@ def test_evolve_master_matches_dense_lindblad(ref, fock_dim):
     np.testing.assert_allclose(
         run.final_state.matrix, want_rho, rtol=1e-12, atol=1e-12 * np.abs(want_rho).max()
     )
+
+
+@pytest.mark.parametrize("fock_dim", [3, 5])
+def test_master_batch_rows_match_dense_lindblad(ref, fock_dim):
+    # three rows that differ in coupling (one dipole-free), in complex
+    # drive scale and in initial state: a jump slice that bleeds into the
+    # next row of the flat batch, or a drive written onto the wrong row,
+    # breaks the row-by-row agreement with the dense oracle
+    p = dataclasses.replace(ref, detuning=0.3 * ref.kappa)
+    n = 41
+    grid = TimeGrid(0.0, 0.025 / p.kappa, n)
+    period = n * grid.dt
+
+    def beta(t):                            # periodic over the window, as above
+        u = 2j * math.pi * (t - grid.t_start) / period
+        return 0.4 * math.sqrt(p.kappa) * (0.6 + 0.3 * cmath.exp(u) - 0.2j * cmath.exp(-2 * u))
+
+    space = HilbertSpace(fock_dim)
+    g_eff = np.array([joint_state(lab).g_eff(p.g_coupling) for lab in ("00", "11", "01")])
+    scale = np.array([1.0, 0.7 - 0.4j, -0.3 + 0.9j])
+    rng = np.random.default_rng(5)
+    rho0 = []
+    for _ in range(3):
+        m = rng.normal(size=(space.dim, 2)) + 1j * rng.normal(size=(space.dim, 2))
+        m = m @ m.conj().T                  # Hermitian, positive, rank 2
+        rho0.append(m / np.trace(m).real)
+    c = space.cavity_op()
+    records, rho, drift = _evolve_master_batch(
+        space, g_eff, p, grid, _upsample(np.array([beta(t) for t in grid.times()])),
+        scale, np.array(rho0), {"c": c},
+    )
+    assert drift.max() < 1e-12
+    for k in range(3):
+        want_c, want_rho = dense_lindblad_evolve(
+            fock_dim, g_eff[k], p.kappa, p.t1, p.detuning, lambda t: scale[k] * beta(t),
+            rho0[k], grid.t_start, grid.dt, n, c,
+        )
+        np.testing.assert_allclose(
+            records["c"][k], want_c, rtol=1e-12, atol=1e-12 * np.abs(want_c).max()
+        )
+        np.testing.assert_allclose(
+            rho[k], want_rho, rtol=1e-12, atol=1e-12 * np.abs(want_rho).max()
+        )
+
+
+def test_evolve_master_leaves_rho0_and_keeps_each_record(ref):
+    # the stepper advances a copy of rho0 in place; the caller's matrix
+    # must not change, and every grid point keeps its own record
+    space = HilbertSpace(4)
+    grid = TimeGrid(0.0, 0.05 / ref.kappa, 33)
+    rho0 = DensityMatrix.ground(space)
+    before = rho0.matrix.copy()
+    run = evolve_master(
+        space, joint_state("01").g_eff(ref.g_coupling), ref, grid,
+        np.full(grid.n_samples, 0.3 * math.sqrt(ref.kappa), dtype=complex), rho0,
+    )
+    assert rho0.matrix.tobytes() == before.tobytes()
+    c = run.expectations["c"]
+    assert np.all(c[1:] != c[:-1])
+
+
+def test_evolve_master_nan_trace_raises(ref):
+    # an RK4 step far outside the stability region overflows within one
+    # grid interval; the NaN trace drift must fail, not pass as "small"
+    space = HilbertSpace(6)
+    grid = TimeGrid(0.0, 50.0 / ref.kappa, 16)
+    with np.errstate(all="ignore"), pytest.raises(NumericsError, match="trace drifted by nan"):
+        evolve_master(
+            space, 1e9, ref, grid,
+            np.full(grid.n_samples, 0.3 * math.sqrt(ref.kappa), dtype=complex),
+            DensityMatrix.ground(space),
+        )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_decompose_rejects_non_finite_field(ref, ref_pulse, bad):
+    # max(0, nan) is 0: without the check a NaN field reads as eps = eta = 0
+    g_out = ref_pulse.envelope.astype(complex)
+    g_out[g_out.size // 2] = bad
+    with pytest.raises(NumericsError, match="not finite"):
+        _decompose(ref_pulse, g_out, 0.5, joint_state("01"), ref, "master", {})
 
 
 def test_evolve_master_records_default_c(ref):
