@@ -44,6 +44,13 @@ from .svgplot import save_chart
 _TWO_PI_MHZ = 2.0 * math.pi * 1e6
 _BACKENDS = ("analytic", "filter", "meanfield", "master")
 
+# Size limits, checked in load_config before anything is allocated.  The
+# default grid has 2,817 samples; tau_over_kappa = 0.01 would ask for
+# about 2 million, which the time-domain backends cannot finish.
+MAX_GRID_SAMPLES = 100_000
+MAX_SWEEP_POINTS = 1_000
+MAX_LEVELS_POINTS = 100_000
+
 FIDELITY_COLUMNS = (
     "x_value",
     "fidelity",
@@ -124,6 +131,9 @@ def _parse_points(text: str, section: str) -> list[float]:
         ) from None
     if not all(math.isfinite(x) for x in values):
         raise ConfigError(f"[{section}] points = {text!r}: values must be finite")
+    count = n if ":" in text else len(values)
+    if count > MAX_SWEEP_POINTS:
+        raise ConfigError(f"[{section}] points: {count} points, more than {MAX_SWEEP_POINTS}")
     if ":" in text:
         return [float(x) for x in np.linspace(a, b, n)]
     return values
@@ -183,6 +193,16 @@ def load_config(path: str | Path) -> RunConfig:
     samples = _get_int(cp, "pulse", "samples", "0")
     if samples < 0:
         raise ConfigError("[pulse] samples must be >= 0 (0 selects automatic)")
+    tau = tau_k / device.kappa
+    try:        # default_grid only does arithmetic; it allocates nothing
+        n_samples = samples or default_grid(tau, device.kappa).n_samples
+    except OverflowError:
+        n_samples = math.inf
+    if n_samples > MAX_GRID_SAMPLES:
+        raise ConfigError(
+            f"[pulse] the time grid would hold {n_samples} samples, more than "
+            f"{MAX_GRID_SAMPLES}; raise tau_over_kappa or set samples"
+        )
 
     kind = _get(cp, "sweep", "kind", "photon").strip()
     if kind not in ("photon", "coupling"):
@@ -203,11 +223,13 @@ def load_config(path: str | Path) -> RunConfig:
     levels_points = _get_int(cp, "levels", "points", "201")
     if levels_span <= 0 or levels_points < 3:
         raise ConfigError("[levels] needs delta_max_over_T > 0 and points >= 3")
+    if levels_points > MAX_LEVELS_POINTS:
+        raise ConfigError(f"[levels] points = {levels_points}, more than {MAX_LEVELS_POINTS}")
 
     return RunConfig(
         device=device,
         gradient_field=gradient,
-        tau=tau_k / device.kappa,
+        tau=tau,
         samples=samples or None,
         sweep_kind=kind,
         sweep_points=points,

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -43,6 +45,10 @@ PASSIVITY_SLACK = 1e-6
 # ratio, gives p <= 0.02/0.57 = 0.035.  Past it meanfield sets
 # `unreliable`, the key master uses for its own truncation limit.
 MEANFIELD_EXCITATION_BOUND = 0.035
+
+# Largest population of the top two Fock levels at which the master
+# backend counts its truncation as valid.
+FOCK_TAIL_BOUND = 1e-4
 
 
 @dataclass(frozen=True)
@@ -233,22 +239,26 @@ def _rk4(rhs, y, drive, h, n_samples, on_sample):
     input, since the stage arguments share one reused buffer; the caller's
     `y` is not modified (a copy is advanced in place), so `on_sample` must
     copy what it keeps.  The buffers keep the operand order of
-    y + (h/6)(((k1 + 2k2) + 2k3) + k4) and change no bit.
+    y + (h/6)(((k1 + 2k2) + 2k3) + k4) and change no bit.  The step
+    constants are arrays of y's shape and dtype, built once: numpy would
+    convert a Python scalar on every multiply, at the cost of the multiply
+    itself, to the same complex value.
     """
     n = n_samples
     y = np.array(y)
     stage, acc = np.empty_like(y), np.empty_like(y)
+    half_h, full_h, two, sixth_h = (np.full_like(y, v) for v in (0.5 * h, h, 2, h / 6.0))
     on_sample(0, y)
     for j in range(4 * (n - 1)):
         b0, bm, b1 = drive[2 * j], drive[2 * j + 1], drive[2 * j + 2]
         k1 = rhs(y, b0)
-        k2 = rhs(np.add(y, np.multiply(0.5 * h, k1, out=stage), out=stage), bm)
-        k3 = rhs(np.add(y, np.multiply(0.5 * h, k2, out=stage), out=stage), bm)
-        k4 = rhs(np.add(y, np.multiply(h, k3, out=stage), out=stage), b1)
-        np.add(k1, np.multiply(2, k2, out=acc), out=acc)
-        np.add(acc, np.multiply(2, k3, out=stage), out=acc)
+        k2 = rhs(np.add(y, np.multiply(half_h, k1, out=stage), out=stage), bm)
+        k3 = rhs(np.add(y, np.multiply(half_h, k2, out=stage), out=stage), bm)
+        k4 = rhs(np.add(y, np.multiply(full_h, k3, out=stage), out=stage), b1)
+        np.add(k1, np.multiply(two, k2, out=acc), out=acc)
+        np.add(acc, np.multiply(two, k3, out=stage), out=acc)
         np.add(acc, k4, out=acc)
-        np.add(y, np.multiply(h / 6.0, acc, out=acc), out=y)
+        np.add(y, np.multiply(sixth_h, acc, out=acc), out=y)
         if (j + 1) % 4 == 0:
             on_sample((j + 1) // 4, y)
     return y
@@ -263,15 +273,13 @@ def _shared_params(jobs) -> DeviceParams:
     return first
 
 
-def _reflect_meanfield_batch(f_in: Pulse, jobs) -> list[ReflectionResult]:
-    """reflect_meanfield of each (alpha, state, params) job, as one batch."""
-    if not f_in.is_normalized():
-        raise ValueError("input pulse must be normalized")
-    for a, _, _ in jobs:
-        if not np.isfinite(a) or a == 0:
-            raise ValueError("alpha must be finite and nonzero")
+def _meanfield_rows(grid, jobs, drive) -> list[tuple[np.ndarray, dict]]:
+    """(<c> trajectory, diagnostics) of each (alpha, state, params) job,
+    integrated by reflect_meanfield's equations as one RK4 batch on
+    `drive`, the upsampled envelope.  Every job is integrated, a
+    dipole-free one too; _reflect_batch validates the jobs."""
     p = _shared_params(jobs)
-    n = f_in.grid.n_samples
+    n = grid.n_samples
     b_size = len(jobs)
     alpha = np.array([a for a, _, _ in jobs], dtype=complex)
     ge = np.array([st.g_eff(q.g_coupling) for _, st, q in jobs])
@@ -287,6 +295,7 @@ def _reflect_meanfield_batch(f_in: Pulse, jobs) -> list[ReflectionResult]:
     )
     minus_t1 = np.full(b_size, -p.t1)
     one = np.ones(b_size)
+    i_b = np.full(b_size, 1j)
     c_traj = np.empty((b_size, n), dtype=complex)
     max_s = np.zeros(b_size)
     max_z = np.full(b_size, -1.0)
@@ -300,7 +309,7 @@ def _reflect_meanfield_batch(f_in: Pulse, jobs) -> list[ReflectionResult]:
     # as one trajectory stepped in scalar arithmetic.
     def rhs(y, b):
         c, s, z = y
-        dc = decay_re * c + decay_im * (1j * c) - ige * s - sk_b * (b * alpha)
+        dc = decay_re * c + decay_im * (i_b * c) - ige * s - sk_b * (b * alpha)
         ds = s / minus_2t1 + ige * z * c
         dz = (z.real + one) / minus_t1 + ge4 * (c.imag * s.real - c.real * s.imag)
         return np.array([dc, ds, dz])
@@ -313,20 +322,18 @@ def _reflect_meanfield_batch(f_in: Pulse, jobs) -> list[ReflectionResult]:
 
     y0 = np.zeros((3, b_size), dtype=complex)
     y0[2] = -1.0
-    _rk4(rhs, y0, _upsample(f_in.envelope), f_in.grid.dt / 4.0, n, on_sample)
+    _rk4(rhs, y0, drive, grid.dt / 4.0, n, on_sample)
 
     out = []
-    for k, (a, st, q) in enumerate(jobs):
+    for k in range(b_size):
         peak_excitation = float((1.0 + max_z[k]) / 2.0)
         diags = {
-            "c_trajectory": c_traj[k],
             "peak_photon": float(np.max(np.abs(c_traj[k]) ** 2)),
             "max_sigma_abs": float(max_s[k]),
             "peak_excitation": peak_excitation,
             "unreliable": peak_excitation > MEANFIELD_EXCITATION_BOUND,
         }
-        g_out = a * f_in.envelope + sk * c_traj[k]
-        out.append(_decompose(f_in, g_out, a, st, q, "meanfield", diags))
+        out.append((c_traj[k], diags))
     return out
 
 
@@ -342,15 +349,18 @@ def reflect_meanfield(
     from (<c>, <s>, <z>) = (0, 0, -1), with D' the negative of the stored
     detuning (frame convention, see module docstring).  Output field
     alpha f + sqrt(kappa) <c>.  Fixed-step RK4 at a quarter of the grid
-    step; the g_eff = 0 case is linear and reproduces the spectral filter
-    to better than 1e-8 RMS, which pins every sign above.
+    step.  With g_eff = 0 only the <c> equation is left, and it is linear:
+    that job takes _bare_cavity_field, the same RK4 step in closed form.
+    The tests hold it to the spectral filter (better than 1e-8 RMS) and
+    to this RK4 rhs at g_eff = 0 (1e-13 of peak); the chain pins the signs
+    of detuning, decay and drive in the <c> equation.
 
     Diagnostics report the peak charge excitation (1 + max<z>)/2, sampled
     on the grid, and flag the run `unreliable` when it exceeds
     MEANFIELD_EXCITATION_BOUND, past which the factorisation error is
     larger than the backend's stated accuracy.
     """
-    return _reflect_meanfield_batch(f_in, [(alpha, state, params)])[0]
+    return _reflect_batch(f_in, [(alpha, state, params)], "meanfield")[0]
 
 
 @dataclass
@@ -489,43 +499,129 @@ def required_fock_dim(alpha: complex, f_in: Pulse, kappa: float) -> float:
     return (4.0 * abs(alpha) * peak / math.sqrt(kappa)) ** 2
 
 
-def _reflect_master_batch(f_in: Pulse, jobs, fock_dim: int) -> list[ReflectionResult]:
-    """reflect_master of each (alpha, state, params) job, as one batch."""
-    if not f_in.is_normalized():
-        raise ValueError("input pulse must be normalized")
-    for a, _, q in jobs:
-        need = required_fock_dim(a, f_in, q.kappa)
-        if fock_dim < need:
-            raise ValueError(
-                f"fock_dim {fock_dim} below sizing heuristic {need:.1f} for |alpha|={abs(a):.3g}"
-            )
+def _master_rows(grid, jobs, drive, fock_dim: int) -> list[tuple[np.ndarray, dict]]:
+    """(<c> trajectory, diagnostics) of each (alpha, state, params) job,
+    from the density matrix propagated as one RK4 batch on `drive`, the
+    upsampled envelope; _reflect_batch validates the jobs."""
     space = HilbertSpace(fock_dim)
     C = space.cavity_op()
     records, rho, drift = _evolve_master_batch(
         space,
         np.array([st.g_eff(q.g_coupling) for _, st, q in jobs]),
         _shared_params(jobs),
-        f_in.grid,
-        _upsample(f_in.envelope),
+        grid,
+        drive,
         np.array([a for a, _, _ in jobs], dtype=complex),
         np.repeat(DensityMatrix.ground(space).matrix[None], len(jobs), axis=0),
         {"c": C, "n": C.conj().T @ C},
     )
     out = []
-    for k, (a, st, q) in enumerate(jobs):
+    for k in range(len(jobs)):
         final = DensityMatrix(space, rho[k])
-        c_traj = records["c"][k]
         tail = final.fock_tail()
         diags = {
-            "c_trajectory": c_traj,
             "peak_photon": float(np.max(records["n"][k].real)),
             "trace_drift": float(drift[k]),
             "fock_tail": tail,
             "min_eigenvalue": final.min_eigenvalue(),
-            "unreliable": tail > 1e-4,
+            "unreliable": tail > FOCK_TAIL_BOUND,
         }
+        out.append((records["c"][k], diags))
+    return out
+
+
+def _bare_cavity_field(params: DeviceParams, drive, h: float, n_samples: int) -> np.ndarray:
+    """<c> on the grid of the dipole-free cavity under the unit-amplitude drive.
+
+    With g_eff = 0, meanfield and master both reduce to the linear
+    c' = lam c + F(t), with lam = -(-iD + kappa/2) and F = -sqrt(kappa) b.
+    An RK4 step is linear in its inputs, so _rk4 on this equation is the
+    recurrence c+ = R c + A0 F0 + Am Fm + A1 F1 (F at the start, middle
+    and end of the step), where R, A0, Am and A1 are the step applied to
+    unit inputs.  It runs a grid interval (four steps) at a time and
+    equals _rk4 up to rounding.
+    """
+    lam = -(1j * -params.detuning + params.kappa / 2.0)
+
+    def step(c, f0, fm, f1):            # one step of _rk4 on c' = lam c + F
+        k1 = lam * c + f0
+        k2 = lam * (c + 0.5 * h * k1) + fm
+        k3 = lam * (c + 0.5 * h * k2) + fm
+        k4 = lam * (c + h * k3) + f1
+        return c + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    r, a0, am, a1 = (step(*unit) for unit in np.eye(4).tolist())
+    # forcing of each step, with F = -sqrt(kappa) b folded into A0, Am, A1
+    f0, fm, f1 = (-math.sqrt(params.kappa) * a for a in (a0, am, a1))
+    m = 8 * (n_samples - 1)
+    u = (f0 * drive[0:m:2] + fm * drive[1:m:2] + f1 * drive[2 : m + 1 : 2]).reshape(-1, 4)
+    # c(k+1) = R^4 c(k) + ((u(4k) R + u(4k+1)) R + u(4k+2)) R + u(4k+3)
+    u4 = (((u[:, 0] * r + u[:, 1]) * r + u[:, 2]) * r + u[:, 3]).tolist()
+    r4 = r * r * r * r
+    return np.array(list(accumulate(u4, lambda c, x: r4 * c + x, initial=0j)))
+
+
+def _coherent_fock_tail(n_mean: float, fock_dim: int) -> float:
+    """Population of the top two of fock_dim levels in a coherent state of
+    mean photon number n_mean (Poisson), as fock_tail measures it."""
+    log_n = math.log(max(n_mean, sys.float_info.min))
+    return sum(
+        math.exp(k * log_n - n_mean - math.lgamma(k + 1)) for k in (fock_dim - 2, fock_dim - 1)
+    )
+
+
+def _bare_row(c_traj, backend: str, fock_dim: int) -> tuple[np.ndarray, dict]:
+    """(c_traj, diagnostics) of a dipole-free job: the diagnostics of the
+    exact state, a coherent cavity field and a charge left in its ground
+    state, under each backend's keys."""
+    if backend == "meanfield":
+        diags = {"max_sigma_abs": 0.0, "peak_excitation": 0.0, "unreliable": False}
+    else:
+        tail = _coherent_fock_tail(abs(c_traj[-1]) ** 2, fock_dim)
+        diags = {"trace_drift": 0.0, "fock_tail": tail, "min_eigenvalue": 0.0,
+                 "unreliable": tail > FOCK_TAIL_BOUND}
+    return c_traj, {"peak_photon": float(np.max(np.abs(c_traj) ** 2)), **diags}
+
+
+def _reflect_batch(f_in: Pulse, jobs, backend: str, fock_dim: int = 16) -> list[ReflectionResult]:
+    """meanfield or master reflection of each (alpha, state, params) job.
+
+    A job whose state couples no dipole (g_eff = 0) meets a bare, exactly
+    linear cavity.  It takes _bare_cavity_field, evaluated once at unit
+    amplitude and scaled by its alpha, and never enters the RK4 batch;
+    the other jobs are integrated as one batch.  Both use the same
+    upsampled drive.  The master sizing check covers every job.
+    """
+    if not f_in.is_normalized():
+        raise ValueError("input pulse must be normalized")
+    for a, _, q in jobs:
+        if not np.isfinite(a) or a == 0:
+            raise ValueError("alpha must be finite and nonzero")
+        if backend == "master":
+            need = required_fock_dim(a, f_in, q.kappa)
+            if fock_dim < need:
+                raise ValueError(
+                    f"fock_dim {fock_dim} below sizing heuristic {need:.1f} for |alpha|={abs(a):.3g}"
+                )
+    p = _shared_params(jobs)
+    drive = _upsample(f_in.envelope)
+    bare = [st.g_eff(q.g_coupling) == 0 for _, st, q in jobs]
+    coupled = [job for job, is_bare in zip(jobs, bare) if not is_bare]
+    if not coupled:
+        rows = []
+    elif backend == "meanfield":
+        rows = _meanfield_rows(f_in.grid, coupled, drive)
+    else:
+        rows = _master_rows(f_in.grid, coupled, drive, fock_dim)
+    if any(bare):
+        c_unit = _bare_cavity_field(p, drive, f_in.grid.dt / 4.0, f_in.grid.n_samples)
+    del drive       # free before the decompositions, which allocate per job
+    rows = iter(rows)
+    out = []
+    for (a, st, q), is_bare in zip(jobs, bare):
+        c_traj, diags = _bare_row(a * c_unit, backend, fock_dim) if is_bare else next(rows)
         g_out = a * f_in.envelope + math.sqrt(q.kappa) * c_traj
-        out.append(_decompose(f_in, g_out, a, st, q, "master", diags))
+        out.append(_decompose(f_in, g_out, a, st, q, backend, {"c_trajectory": c_traj, **diags}))
     return out
 
 
@@ -536,8 +632,15 @@ def reflect_master(
     params: DeviceParams,
     fock_dim: int = 16,
 ) -> ReflectionResult:
-    """Density-matrix reflection; the reference backend at small alpha."""
-    return _reflect_master_batch(f_in, [(alpha, state, params)], fock_dim)[0]
+    """Density-matrix reflection; the reference backend at small alpha.
+
+    A dipole-free state (g_eff = 0) leaves a coherent cavity field and the
+    charge in its ground state, so its <c> comes from _bare_cavity_field
+    as in meanfield.  Its diagnostics are those of that exact state: zero
+    trace drift and minimum eigenvalue, and as fock_tail the Poisson
+    population of the top two Fock levels at the final |<c>|^2.
+    """
+    return _reflect_batch(f_in, [(alpha, state, params)], "master", fock_dim)[0]
 
 
 def _analytic_result(
@@ -572,8 +675,11 @@ def scatter_batch(
 ) -> list[dict[str, ReflectionResult]]:
     """scatter_all_states at each (alpha, params) point.
 
-    meanfield and master integrate every state of every point as one
-    batch, so the points must share kappa, t1 and detuning.
+    meanfield and master integrate the coupled states (00, 01) of every
+    point as one RK4 batch, so the points must share kappa, t1 and
+    detuning.  State 11 couples no dipole: its cavity is bare and
+    linear, and one exact recurrence serves it at every point (see
+    _reflect_batch).
     """
     if backend not in ("analytic", "filter", "meanfield", "master"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -584,10 +690,8 @@ def scatter_batch(
         flat = [reflect_filter_pulse(f_in, st, p, alpha=a) for a, st, p in jobs]
     elif not jobs:
         flat = []
-    elif backend == "meanfield":
-        flat = _reflect_meanfield_batch(f_in, jobs)
     else:
-        flat = _reflect_master_batch(f_in, jobs, fock_dim)
+        flat = _reflect_batch(f_in, jobs, backend, fock_dim)
     out = []
     for i in range(0, len(flat), len(_RUN_LABELS)):
         res = dict(zip(_RUN_LABELS, flat[i : i + len(_RUN_LABELS)]))

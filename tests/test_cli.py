@@ -7,7 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resgate.cli import FIDELITY_COLUMNS, load_config, main
+from resgate.cli import (
+    FIDELITY_COLUMNS,
+    MAX_GRID_SAMPLES,
+    MAX_LEVELS_POINTS,
+    MAX_SWEEP_POINTS,
+    load_config,
+    main,
+)
 from resgate.errors import ConfigError
 from resgate.svgplot import line_chart
 
@@ -76,6 +83,20 @@ def test_config_error_cases(tmp_path):
     )
     with pytest.raises(ConfigError, match="alpha"):
         load_config(zero)
+
+    # sizes are capped before anything is allocated: a short pulse's
+    # automatic grid (2,048,769 samples at tau_over_kappa = 0.01,
+    # which left reflect still running after 60 s) and each cap + 1
+    for old, new, match in (
+        ("tau_over_kappa = 10", "tau_over_kappa = 0.01", "2048769 samples"),
+        ("samples = 0", f"samples = {MAX_GRID_SAMPLES + 1}", str(MAX_GRID_SAMPLES + 1)),
+        ("points = 0:22:23", f"points = 0:22:{MAX_SWEEP_POINTS + 1}", str(MAX_SWEEP_POINTS + 1)),
+        ("points = 201", f"points = {MAX_LEVELS_POINTS + 1}", str(MAX_LEVELS_POINTS + 1)),
+    ):
+        big = tmp_path / "big.cfg"
+        big.write_text(DEFAULT_CFG.read_text().replace(old, new))
+        with pytest.raises(ConfigError, match=match):
+            load_config(big)
 
 
 def test_missing_config_exit_code(tmp_path, capsys):

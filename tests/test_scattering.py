@@ -14,6 +14,7 @@ from resgate.scattering import (
     STATE_LABELS,
     _decompose,
     _evolve_master_batch,
+    _meanfield_rows,
     _upsample,
     evolve_master,
     joint_state,
@@ -140,10 +141,11 @@ def test_analytic_backend(ref, ref_pulse):
 
 def test_meanfield_matches_filter_in_linear_state(ref, ref_pulse, meanfield_ref_runs):
     # uncoupled configuration: the cavity is exactly linear, so the
-    # time-domain integration must reproduce the spectral filter to
-    # round-off; this pins the frequency-sign convention.  The zero-
-    # detuning run comes from the session batch (equal to the single run
-    # byte for byte)
+    # time-domain result must reproduce the spectral filter to round-off.
+    # It comes from the bare-cavity recurrence, which
+    # test_bare_cavity_recurrence_matches_rk4 holds to the RK4 rhs of an
+    # 11 job; the chain pins the frequency-sign convention of the
+    # integrator.  The zero-detuning run comes from the session batch
     detuned = dataclasses.replace(ref, detuning=0.3 * ref.kappa)
     for p, run in (
         (ref, meanfield_ref_runs[1e-3]["11"]),
@@ -174,6 +176,10 @@ def test_meanfield_saturates_with_amplitude(meanfield_ref_runs):
 def test_meanfield_rejects_zero_amplitude(ref, ref_pulse):
     with pytest.raises(ValueError):
         reflect_meanfield(ref_pulse, 0.0, joint_state("01"), ref)
+    # master shares the check (it used to divide by zero in _decompose),
+    # and a dipole-free job is checked though it is never integrated
+    with pytest.raises(ValueError, match="nonzero"):
+        reflect_master(ref_pulse, 0.0, joint_state("11"), ref, fock_dim=4)
 
 
 def test_meanfield_diagnostics(ref_pulse, meanfield_ref_runs):
@@ -214,7 +220,10 @@ def test_master_run_records_and_hygiene(ref, master_half_runs):
 # rewrite changes rounding only, so the values agree to 1e-12 relative.
 # The absolute floor covers the three that are zero in exact arithmetic
 # (the 00 and 01 phases at zero detuning, the loss of the dipole-free 11),
-# where rounding and step error is all there is.
+# where rounding and step error is all there is.  The 11 row now comes
+# from the bare-cavity recurrence, not the density matrix: the same RK4
+# step, rounded differently, moves its eta by 1.1e-15, so that one value
+# has a floor of 1e-14.
 _MASTER_HALF_FROZEN = {
     "00": (0.034670795768072415, 0.04794886802021037, -1.5976778292967417e-17),
     "01": (0.15077086313888377, 0.17938790639539937, -2.037532342989372e-17),
@@ -225,7 +234,48 @@ _MASTER_HALF_FROZEN = {
 def test_master_half_runs_frozen_values(master_half_runs):
     for lab, want in _MASTER_HALF_FROZEN.items():
         r = master_half_runs[lab]
-        assert (r.epsilon, r.eta, r.phase) == pytest.approx(want, rel=1e-12, abs=1e-15), lab
+        eta_floor = 1e-14 if lab == "11" else 1e-15
+        assert (r.epsilon, r.phase) == pytest.approx(want[::2], rel=1e-12, abs=1e-15), lab
+        assert r.eta == pytest.approx(want[1], rel=1e-12, abs=eta_floor), lab
+
+
+def test_bare_cavity_recurrence_matches_rk4(ref, ref_pulse, bare_lab_frame_runs, master_half_runs):
+    # a dipole-free job skips the RK4 batch for the closed-form recurrence
+    # of the same step.  It must agree with the density matrix propagated
+    # at g_eff = 0 in the lab frame, and with the meanfield RK4 on an 11
+    # job, both to 1e-13 of peak; its diagnostics are those of the exact
+    # coherent state, under each backend's keys
+    alpha, fock_dim, lab_frame = bare_lab_frame_runs
+    st = joint_state("11")
+    drive = _upsample(ref_pulse.envelope)
+    for det, lab_run in lab_frame.items():
+        p = dataclasses.replace(ref, detuning=det * ref.kappa)
+        ms = reflect_master(ref_pulse, alpha, st, p, fock_dim=fock_dim)
+        c = ms.diagnostics["c_trajectory"]
+        want = lab_run.expectations["c"]
+        assert np.abs(c - want).max() <= 1e-13 * np.abs(want).max(), det
+        # a complex amplitude: the recurrence runs at unit amplitude and is scaled
+        a_c = alpha * (0.6 - 0.8j)
+        mf = reflect_meanfield(ref_pulse, a_c, st, p)
+        rk4_c, rk4_diags = _meanfield_rows(ref_pulse.grid, [(a_c, st, p)], drive)[0]
+        got = mf.diagnostics["c_trajectory"]
+        assert np.abs(got - rk4_c).max() <= 1e-13 * np.abs(rk4_c).max(), det
+
+        assert mf.diagnostics.keys() == {"c_trajectory", *rk4_diags}
+        for key in ("max_sigma_abs", "peak_excitation", "unreliable"):
+            assert mf.diagnostics[key] == rk4_diags[key] == 0, key
+        assert ms.diagnostics.keys() == master_half_runs["00"].diagnostics.keys()
+        d = ms.diagnostics
+        assert d["trace_drift"] == 0 and d["min_eigenvalue"] == 0 and not d["unreliable"]
+        assert d["peak_photon"] == pytest.approx(np.max(np.abs(lab_run.expectations["c"]) ** 2), rel=1e-12)
+        # the Poisson tail of the final coherent state, against the same
+        # population of the lab-frame density matrix; that tail goes as
+        # |c|^12 of a final field far below peak, where the two fields
+        # agree to about 1e-5 relative only
+        n_end = abs(c[-1]) ** 2
+        poisson = sum(math.exp(-n_end) * n_end**k / math.factorial(k) for k in (fock_dim - 2, fock_dim - 1))
+        assert d["fock_tail"] == pytest.approx(poisson, rel=1e-12, abs=0)
+        assert d["fock_tail"] == pytest.approx(lab_run.final_state.fock_tail(), rel=1e-3, abs=0)
 
 
 def test_batch_elements_equal_single_runs(ref, ref_tau):
