@@ -37,7 +37,7 @@ from .device import (
 )
 from .errors import ConfigError, NumericsError
 from .gate import sweep_coupling_variation, sweep_photon_number
-from .pulse import default_grid, gaussian_pulse
+from .pulse import MIN_GRID_SAMPLES, default_grid, gaussian_pulse
 from .scattering import STATE_LABELS, scatter_all_states, xi_effective
 from .svgplot import save_chart
 
@@ -191,8 +191,10 @@ def load_config(path: str | Path) -> RunConfig:
     if tau_k <= 0:
         raise ConfigError("[pulse] tau_over_kappa must be positive")
     samples = _get_int(cp, "pulse", "samples", "0")
-    if samples < 0:
-        raise ConfigError("[pulse] samples must be >= 0 (0 selects automatic)")
+    if samples < 0 or 0 < samples < MIN_GRID_SAMPLES:
+        raise ConfigError(
+            f"[pulse] samples = {samples}: need 0 (automatic) or at least {MIN_GRID_SAMPLES}"
+        )
     tau = tau_k / device.kappa
     try:        # default_grid only does arithmetic; it allocates nothing
         n_samples = samples or default_grid(tau, device.kappa).n_samples

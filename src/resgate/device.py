@@ -29,11 +29,9 @@ class CircuitParams:
     cap_per_len_C0: float      # capacitance per unit length, F/m
     impedance_Z0: float        # characteristic impedance, Ohm
     coupling_ratio_v: float    # C_c / C_tot, dimensionless
-    electron_charge: float = _E_CHARGE
-    hbar: float = _HBAR
 
     def __post_init__(self) -> None:
-        for name in ("length_L", "cap_per_len_C0", "impedance_Z0", "electron_charge", "hbar"):
+        for name in ("length_L", "cap_per_len_C0", "impedance_Z0"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0 < self.coupling_ratio_v <= 1:
@@ -44,13 +42,10 @@ class CircuitParams:
 class ZeemanParams:
     g_factor: float            # electron g*, sign carried but magnitude used
     b_field: float             # static field along z, T
-    mu_bohr: float = _MU_BOHR
 
     def __post_init__(self) -> None:
         if self.b_field < 0:
             raise ValueError("b_field must be >= 0")
-        if self.mu_bohr <= 0:
-            raise ValueError("mu_bohr must be positive")
 
 
 @dataclass(frozen=True)
@@ -142,10 +137,10 @@ def coupling_g(circuit: CircuitParams, theta: float) -> float:
     """
     return (
         0.5
-        * circuit.electron_charge
+        * _E_CHARGE
         * circuit.coupling_ratio_v
         * (1.0 / (circuit.length_L * circuit.cap_per_len_C0))
-        * math.sqrt(math.pi / (circuit.impedance_Z0 * circuit.hbar))
+        * math.sqrt(math.pi / (circuit.impedance_Z0 * _HBAR))
         * math.sin(2.0 * theta)
     )
 
@@ -200,7 +195,7 @@ def validate_regime(params: DeviceParams, tau: float | None = None) -> list[Regi
     if params.zeeman is None:
         checks.append(RegimeCheck("zeeman_gap", "skipped", detail="no Zeeman parameters"))
     else:
-        ez = abs(params.zeeman.g_factor) * params.zeeman.mu_bohr * params.zeeman.b_field / _HBAR
+        ez = abs(params.zeeman.g_factor) * _MU_BOHR * params.zeeman.b_field / _HBAR
         ok = ez > omega
         checks.append(
             RegimeCheck(

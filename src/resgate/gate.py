@@ -76,11 +76,6 @@ def gate_fidelity(inputs: GateInputs) -> float:
     return abs(total / 4.0) ** 2
 
 
-def photon_loss_eta_global(inputs: GateInputs) -> float:
-    """Worst-case energy loss over the four states."""
-    return max(r.eta for r in inputs.results.values())
-
-
 def input_mean_photon(alpha: complex) -> float:
     """Mean photon number of the odd coherent superposition of +/- alpha.
 

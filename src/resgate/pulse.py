@@ -19,6 +19,7 @@ import numpy as np
 
 
 NORM_TOL = 1e-9
+MIN_GRID_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -32,19 +33,11 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.n_samples < 8:
-            raise ValueError("need at least 8 samples")
+        if self.n_samples < MIN_GRID_SAMPLES:
+            raise ValueError(f"need at least {MIN_GRID_SAMPLES} samples")
 
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.n_samples)
-
-    @property
-    def t_end(self) -> float:
-        return self.t_start + self.dt * (self.n_samples - 1)
-
-    @property
-    def span(self) -> float:
-        return self.dt * (self.n_samples - 1)
 
 
 def default_grid(tau: float, kappa: float, n_samples: int | None = None) -> TimeGrid:
@@ -61,6 +54,8 @@ def default_grid(tau: float, kappa: float, n_samples: int | None = None) -> Time
     if n_samples is None:
         dt_target = min(1.0 / (20.0 * kappa), tau / 512.0)
         n_samples = int(math.ceil((t_end - t_start) / dt_target)) + 1
+    elif n_samples < MIN_GRID_SAMPLES:
+        raise ValueError(f"need at least {MIN_GRID_SAMPLES} samples")
     dt = (t_end - t_start) / (n_samples - 1)
     return TimeGrid(t_start=t_start, dt=dt, n_samples=n_samples)
 
@@ -75,14 +70,11 @@ class Pulse:
         if self.envelope.shape != (self.grid.n_samples,):
             raise ValueError("envelope length does not match grid")
 
-    def times(self) -> np.ndarray:
-        return self.grid.times()
-
     def norm_sq(self) -> float:
         return float(np.trapezoid(np.abs(self.envelope) ** 2, dx=self.grid.dt))
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm_sq() - 1.0) < tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm_sq() - 1.0) < NORM_TOL
 
     def normalized(self) -> "Pulse":
         n = self.norm_sq()
@@ -126,13 +118,6 @@ class Spectrum:
     nu: np.ndarray
     values: np.ndarray
     grid: TimeGrid
-
-    @property
-    def dnu(self) -> float:
-        return 2.0 * math.pi / (self.grid.n_samples * self.grid.dt)
-
-    def power_integral(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2) * self.dnu)
 
 
 def spectrum(p: Pulse) -> Spectrum:

@@ -50,6 +50,11 @@ MEANFIELD_EXCITATION_BOUND = 0.035
 # backend counts its truncation as valid.
 FOCK_TAIL_BOUND = 1e-4
 
+# RK4 steps per grid interval, the one place the time step is set: _rk4
+# steps at grid.dt / _SUBSTEPS, _upsample puts the drive at the start,
+# middle and end of each step, and _bare_cavity_field is the same step.
+_SUBSTEPS = 4
+
 
 @dataclass(frozen=True)
 class JointState:
@@ -82,10 +87,6 @@ def joint_state(label: str) -> JointState:
         return _STATES[label]
     except KeyError:
         raise ValueError(f"unknown state label {label!r}") from None
-
-
-def joint_states() -> tuple[JointState, ...]:
-    return tuple(_STATES[k] for k in STATE_LABELS)
 
 
 def xi_analytic(state: JointState, g: float, kappa: float, t1: float) -> float:
@@ -205,13 +206,14 @@ def reflect_filter_pulse(
     return _decompose(f_in, g_out, alpha, state, params, "filter", diags)
 
 
-def _upsample(values: np.ndarray, factor: int = 8) -> np.ndarray:
-    """Trigonometric interpolation onto a factor-times finer grid.
+def _upsample(values: np.ndarray) -> np.ndarray:
+    """Trigonometric interpolation onto a grid 2 * _SUBSTEPS times finer.
 
     Needed because the fixed-step integrators evaluate the drive at
     half-step stage times; linear interpolation there would cap the
     whole scheme at second order.
     """
+    factor = 2 * _SUBSTEPS
     m = len(values)
     sp = np.fft.fft(values)
     out = np.zeros(factor * m, dtype=complex)
@@ -226,14 +228,15 @@ def _upsample(values: np.ndarray, factor: int = 8) -> np.ndarray:
     return np.fft.ifft(out) * factor
 
 
-def _rk4(rhs, y, drive, h, n_samples, on_sample):
+def _rk4(rhs, y, drive, grid, on_sample):
     """Classical fixed-step RK4 of a batch of states; the one time stepper.
 
-    Takes four steps of size h per grid interval.  `drive` is the forcing
-    upsampled eightfold (see _upsample), so drive[2j], drive[2j+1] and
-    drive[2j+2] are its values at the start, middle and end of step j.
-    `rhs(y, b)` returns dy/dt of the whole batch at drive value b, and
-    `on_sample(k, y)` sees the state at grid point k = 0..n_samples-1.
+    Takes _SUBSTEPS steps of size h = grid.dt / _SUBSTEPS per grid
+    interval.  `drive` is the forcing upsampled by _upsample, so drive[2j],
+    drive[2j+1] and drive[2j+2] are its values at the start, middle and
+    end of step j.  `rhs(y, b)` returns dy/dt of the whole batch at drive
+    value b, and `on_sample(k, y)` sees the state at grid point
+    k = 0..grid.n_samples-1.
 
     In-place contract: `rhs` returns a fresh array, never a view of its
     input, since the stage arguments share one reused buffer; the caller's
@@ -244,12 +247,12 @@ def _rk4(rhs, y, drive, h, n_samples, on_sample):
     convert a Python scalar on every multiply, at the cost of the multiply
     itself, to the same complex value.
     """
-    n = n_samples
+    h = grid.dt / _SUBSTEPS
     y = np.array(y)
     stage, acc = np.empty_like(y), np.empty_like(y)
     half_h, full_h, two, sixth_h = (np.full_like(y, v) for v in (0.5 * h, h, 2, h / 6.0))
     on_sample(0, y)
-    for j in range(4 * (n - 1)):
+    for j in range(_SUBSTEPS * (grid.n_samples - 1)):
         b0, bm, b1 = drive[2 * j], drive[2 * j + 1], drive[2 * j + 2]
         k1 = rhs(y, b0)
         k2 = rhs(np.add(y, np.multiply(half_h, k1, out=stage), out=stage), bm)
@@ -259,8 +262,8 @@ def _rk4(rhs, y, drive, h, n_samples, on_sample):
         np.add(acc, np.multiply(two, k3, out=stage), out=acc)
         np.add(acc, k4, out=acc)
         np.add(y, np.multiply(sixth_h, acc, out=acc), out=y)
-        if (j + 1) % 4 == 0:
-            on_sample((j + 1) // 4, y)
+        if (j + 1) % _SUBSTEPS == 0:
+            on_sample((j + 1) // _SUBSTEPS, y)
     return y
 
 
@@ -322,7 +325,7 @@ def _meanfield_rows(grid, jobs, drive) -> list[tuple[np.ndarray, dict]]:
 
     y0 = np.zeros((3, b_size), dtype=complex)
     y0[2] = -1.0
-    _rk4(rhs, y0, drive, grid.dt / 4.0, n, on_sample)
+    _rk4(rhs, y0, drive, grid, on_sample)
 
     out = []
     for k in range(b_size):
@@ -442,7 +445,7 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
             records[name][:, k] = (r * opt).sum(axis=(1, 2))
         np.maximum(drift, np.abs(np.trace(r, axis1=1, axis2=2) - 1.0), out=drift)
 
-    rho = _rk4(rhs, rho, drive, grid.dt / 4.0, n, on_sample)
+    rho = _rk4(rhs, rho, drive, grid, on_sample)
     # `not <=` so that a NaN drift fails as well
     if not np.all(drift <= 1e-6):
         raise NumericsError(f"master-equation trace drifted by {drift.max():.3e}")
@@ -530,7 +533,7 @@ def _master_rows(grid, jobs, drive, fock_dim: int) -> list[tuple[np.ndarray, dic
     return out
 
 
-def _bare_cavity_field(params: DeviceParams, drive, h: float, n_samples: int) -> np.ndarray:
+def _bare_cavity_field(params: DeviceParams, drive, grid) -> np.ndarray:
     """<c> on the grid of the dipole-free cavity under the unit-amplitude drive.
 
     With g_eff = 0, meanfield and master both reduce to the linear
@@ -538,9 +541,10 @@ def _bare_cavity_field(params: DeviceParams, drive, h: float, n_samples: int) ->
     An RK4 step is linear in its inputs, so _rk4 on this equation is the
     recurrence c+ = R c + A0 F0 + Am Fm + A1 F1 (F at the start, middle
     and end of the step), where R, A0, Am and A1 are the step applied to
-    unit inputs.  It runs a grid interval (four steps) at a time and
-    equals _rk4 up to rounding.
+    unit inputs.  It runs a grid interval (_SUBSTEPS = 4 steps, written
+    out below) at a time and equals _rk4 up to rounding.
     """
+    h = grid.dt / _SUBSTEPS
     lam = -(1j * -params.detuning + params.kappa / 2.0)
 
     def step(c, f0, fm, f1):            # one step of _rk4 on c' = lam c + F
@@ -553,8 +557,8 @@ def _bare_cavity_field(params: DeviceParams, drive, h: float, n_samples: int) ->
     r, a0, am, a1 = (step(*unit) for unit in np.eye(4).tolist())
     # forcing of each step, with F = -sqrt(kappa) b folded into A0, Am, A1
     f0, fm, f1 = (-math.sqrt(params.kappa) * a for a in (a0, am, a1))
-    m = 8 * (n_samples - 1)
-    u = (f0 * drive[0:m:2] + fm * drive[1:m:2] + f1 * drive[2 : m + 1 : 2]).reshape(-1, 4)
+    m = 2 * _SUBSTEPS * (grid.n_samples - 1)
+    u = (f0 * drive[0:m:2] + fm * drive[1:m:2] + f1 * drive[2 : m + 1 : 2]).reshape(-1, _SUBSTEPS)
     # c(k+1) = R^4 c(k) + ((u(4k) R + u(4k+1)) R + u(4k+2)) R + u(4k+3)
     u4 = (((u[:, 0] * r + u[:, 1]) * r + u[:, 2]) * r + u[:, 3]).tolist()
     r4 = r * r * r * r
@@ -607,14 +611,18 @@ def _reflect_batch(f_in: Pulse, jobs, backend: str, fock_dim: int = 16) -> list[
     drive = _upsample(f_in.envelope)
     bare = [st.g_eff(q.g_coupling) == 0 for _, st, q in jobs]
     coupled = [job for job, is_bare in zip(jobs, bare) if not is_bare]
-    if not coupled:
-        rows = []
-    elif backend == "meanfield":
-        rows = _meanfield_rows(f_in.grid, coupled, drive)
-    else:
-        rows = _master_rows(f_in.grid, coupled, drive, fock_dim)
+    # A step too coarse for the batch overflows to inf and NaN; that is
+    # reported once, as a NumericsError from _decompose's finite check or
+    # master's trace drift check, not as numpy warnings along the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not coupled:
+            rows = []
+        elif backend == "meanfield":
+            rows = _meanfield_rows(f_in.grid, coupled, drive)
+        else:
+            rows = _master_rows(f_in.grid, coupled, drive, fock_dim)
     if any(bare):
-        c_unit = _bare_cavity_field(p, drive, f_in.grid.dt / 4.0, f_in.grid.n_samples)
+        c_unit = _bare_cavity_field(p, drive, f_in.grid)
     del drive       # free before the decompositions, which allocate per job
     rows = iter(rows)
     out = []

@@ -15,10 +15,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """About five round-valued ticks covering [lo, hi]."""
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min((s for s in (1.0, 2.0, 2.5, 5.0, 10.0)), key=lambda s: abs(s * mag - raw)) * mag
     first = math.ceil(lo / step) * step
@@ -36,22 +37,15 @@ def line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    log_y: bool = False,
 ) -> str:
     """Render one series as an SVG document string."""
     xs = [float(x) for x in xs]
     ys = [float(y) for y in ys]
     if len(xs) != len(ys) or not xs:
         raise ValueError("xs and ys must be equal-length and non-empty")
-    if log_y:
-        if any(y <= 0 for y in ys):
-            raise ValueError("log_y requires positive values")
-        ys_t = [math.log10(y) for y in ys]
-    else:
-        ys_t = ys
 
     x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys_t), max(ys_t)
+    y0, y1 = min(ys), max(ys)
     if x1 == x0:
         x0, x1 = x0 - 0.5, x1 + 0.5
     if y1 == y0:
@@ -77,10 +71,9 @@ def line_chart(
         parts.append(f'<text x="{x:.1f}" y="{_MT + ph + 18}" text-anchor="middle">{_fmt(t)}</text>')
     for t in _ticks(y0, y1):
         y = py(t)
-        lab = _fmt(10.0 ** t) if log_y else _fmt(t)
         parts.append(f'<line x1="{_ML - 4}" y1="{y:.1f}" x2="{_ML}" y2="{y:.1f}" stroke="#333"/>')
-        parts.append(f'<text x="{_ML - 8}" y="{y + 4:.1f}" text-anchor="end">{lab}</text>')
-    pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys_t))
+        parts.append(f'<text x="{_ML - 8}" y="{y + 4:.1f}" text-anchor="end">{_fmt(t)}</text>')
+    pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
     parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>')
     if title:
         parts.append(f'<text x="{_W / 2:.0f}" y="14" text-anchor="middle" font-weight="bold">{title}</text>')

@@ -60,7 +60,7 @@ def photon_decay_run(ref, master_hygiene):
         ref,
         grid,
         np.zeros(grid.n_samples, dtype=complex),
-        DensityMatrix.pure(space, vec),
+        DensityMatrix(space, np.outer(vec, vec.conj())),
         record_ops={"n": n_op},
     )
     master_hygiene.append(
@@ -87,7 +87,7 @@ def charge_decay_run(ref, master_hygiene):
         ref,
         grid,
         np.zeros(grid.n_samples, dtype=complex),
-        DensityMatrix.pure(space, vec),
+        DensityMatrix(space, np.outer(vec, vec.conj())),
         record_ops={"pa": pa},
     )
     master_hygiene.append(

@@ -92,6 +92,10 @@ def test_config_error_cases(tmp_path):
         ("samples = 0", f"samples = {MAX_GRID_SAMPLES + 1}", str(MAX_GRID_SAMPLES + 1)),
         ("points = 0:22:23", f"points = 0:22:{MAX_SWEEP_POINTS + 1}", str(MAX_SWEEP_POINTS + 1)),
         ("points = 201", f"points = {MAX_LEVELS_POINTS + 1}", str(MAX_LEVELS_POINTS + 1)),
+        # and an explicit grid too small to build; samples = 1 used to
+        # divide by zero in default_grid
+        ("samples = 0", "samples = 1", "samples = 1"),
+        ("samples = 0", "samples = 7", "samples = 7"),
     ):
         big = tmp_path / "big.cfg"
         big.write_text(DEFAULT_CFG.read_text().replace(old, new))
@@ -198,6 +202,22 @@ def test_numerics_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_coarse_grid_fails_with_one_line(tmp_path):
+    # nine samples at alpha = 20: the meanfield RK4 step overflows.  The
+    # run reports that once, with no numpy warnings before it
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text(DEFAULT_CFG.read_text().replace("samples = 0", "samples = 9"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "resgate.cli", "reflect", "--config", str(cfg),
+         "--backend", "meanfield", "--out", str(tmp_path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+             "PYTHONWARNINGS": "default"},
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "numerical failure: backend meanfield: meanfield output field is not finite\n"
+
+
 def test_regime_report(capsys):
     code = main(["regime", "--config", str(DEFAULT_CFG)])
     assert code == 0
@@ -216,5 +236,3 @@ def test_svg_chart_deterministic():
     assert "<polyline" in a and a.startswith("<svg")
     with pytest.raises(ValueError):
         line_chart([0, 1], [1.0])
-    with pytest.raises(ValueError):
-        line_chart([0, 1], [1.0, -2.0], log_y=True)

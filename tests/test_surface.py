@@ -1,0 +1,50 @@
+"""The names other code reaches into the package by: the benchmark's tracer
+wraps functions and methods by name, and `resgate.__all__` is the public
+import surface.  A rename or deletion must show up here, not as a
+benchmark run that traces nothing."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import resgate
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def test_traced_names_resolve_and_public_names_pinned():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod_name, qual in tracing.TARGETS:
+        owner = importlib.import_module(mod_name)
+        if "." in qual:                     # the tracer wraps cls.__dict__[meth]
+            cls_name, meth = qual.split(".")
+            target = vars(getattr(owner, cls_name)).get(meth)
+        else:
+            target = getattr(owner, qual, None)
+        assert callable(target), f"{mod_name}.{qual}"
+
+    assert resgate.__all__ == [
+        "ConfigError",
+        "DeviceParams",
+        "FidelityPoint",
+        "GateInputs",
+        "NumericsError",
+        "Pulse",
+        "ReflectionResult",
+        "TimeGrid",
+        "default_grid",
+        "gate_fidelity",
+        "gaussian_pulse",
+        "input_mean_photon",
+        "joint_state",
+        "reference_device",
+        "reflection_filter",
+        "scatter_all_states",
+        "sweep_coupling_variation",
+        "sweep_photon_number",
+        "xi_analytic",
+        "xi_effective",
+    ]
+    assert all(hasattr(resgate, name) for name in resgate.__all__)
