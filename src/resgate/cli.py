@@ -380,6 +380,7 @@ def cmd_fidelity(cfg: RunConfig, plot: bool) -> int:
             backend=cfg.backend,
             tau=cfg.tau,
             fock_dim=cfg.fock_dim,
+            n_samples=cfg.samples,
         )
         x_label = "mean photon number |alpha|^2"
     else:
@@ -390,6 +391,7 @@ def cmd_fidelity(cfg: RunConfig, plot: bool) -> int:
             backend=cfg.backend,
             tau=cfg.tau,
             fock_dim=cfg.fock_dim,
+            n_samples=cfg.samples,
         )
         x_label = "fractional coupling change"
 

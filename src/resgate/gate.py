@@ -122,10 +122,10 @@ def _zero_point(f_in: Pulse, params: DeviceParams) -> FidelityPoint:
     return FidelityPoint(0.0, 1.0, _per_state_triples(ideal), input_mean_photon(0.0))
 
 
-def _default_pulse(params: DeviceParams, tau: float | None) -> Pulse:
+def _default_pulse(params: DeviceParams, tau: float | None, n_samples: int | None) -> Pulse:
     if tau is None:
         tau = 10.0 / params.kappa
-    return gaussian_pulse(tau, default_grid(tau, params.kappa))
+    return gaussian_pulse(tau, default_grid(tau, params.kappa, n_samples))
 
 
 def sweep_photon_number(
@@ -134,15 +134,19 @@ def sweep_photon_number(
     backend: str = "filter",
     tau: float | None = None,
     fock_dim: int = 16,
+    n_samples: int | None = None,
 ) -> list[FidelityPoint]:
     """Fidelity versus input amplitude at fixed pulse duration.
+
+    The pulse is sampled on default_grid(tau, kappa, n_samples): the
+    automatic grid unless n_samples is given.
 
     For the linear backends (analytic, filter) the scattering problem is
     amplitude-independent, so it is solved once and only the fidelity
     formula is re-evaluated per point.  meanfield and master integrate
     every amplitude and state as one batch.
     """
-    f_in = _default_pulse(params, tau)
+    f_in = _default_pulse(params, tau, n_samples)
     alphas = [complex(a) for a in alphas]
     driven = [a for a in alphas if a != 0]
     if backend in ("analytic", "filter"):
@@ -170,11 +174,13 @@ def sweep_coupling_variation(
     backend: str = "filter",
     tau: float | None = None,
     fock_dim: int = 16,
+    n_samples: int | None = None,
 ) -> list[FidelityPoint]:
     """Fidelity versus fractional coupling change g -> g (1 + x).
 
-    The pulse grid depends on tau and kappa only, so one pulse serves
-    every point; meanfield and master integrate all points as one batch.
+    The pulse grid, default_grid(tau, kappa, n_samples), does not depend
+    on g, so one pulse serves every point; meanfield and master integrate
+    all points as one batch.
     """
     fractions = [float(x) for x in dg_fractions]
     for x in fractions:
@@ -183,7 +189,7 @@ def sweep_coupling_variation(
     alpha = complex(alpha)
     if alpha == 0:
         raise ValueError("alpha must be nonzero for a coupling sweep")
-    f_in = _default_pulse(params, tau)
+    f_in = _default_pulse(params, tau, n_samples)
     varied = [replace(params, g_coupling=params.g_coupling * (1.0 + x)) for x in fractions]
     runs = scatter_batch(f_in, [(alpha, p) for p in varied], backend, fock_dim)
     return [_point(x, alpha, res) for x, res in zip(fractions, runs)]

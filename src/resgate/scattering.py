@@ -55,6 +55,9 @@ FOCK_TAIL_BOUND = 1e-4
 # middle and end of each step, and _bare_cavity_field is the same step.
 _SUBSTEPS = 4
 
+# RK4 steps whose drive forcing _rk4 asks for in one call (see _rk4).
+_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class JointState:
@@ -228,40 +231,68 @@ def _upsample(values: np.ndarray) -> np.ndarray:
     return np.fft.ifft(out) * factor
 
 
-def _rk4(rhs, y, drive, grid, on_sample):
+def _rk4(bind, y, drive, forcing, grid, on_sample):
     """Classical fixed-step RK4 of a batch of states; the one time stepper.
 
     Takes _SUBSTEPS steps of size h = grid.dt / _SUBSTEPS per grid
     interval.  `drive` is the forcing upsampled by _upsample, so drive[2j],
     drive[2j+1] and drive[2j+2] are its values at the start, middle and
-    end of step j.  `rhs(y, b)` returns dy/dt of the whole batch at drive
-    value b, and `on_sample(k, y)` sees the state at grid point
+    end of step j.  `on_sample(k, y)` sees the state at grid point
     k = 0..grid.n_samples-1.
 
-    In-place contract: `rhs` returns a fresh array, never a view of its
-    input, since the stage arguments share one reused buffer; the caller's
-    `y` is not modified (a copy is advanced in place), so `on_sample` must
-    copy what it keeps.  The buffers keep the operand order of
-    y + (h/6)(((k1 + 2k2) + 2k3) + k4) and change no bit.  The step
+    Buffers: _rk4 owns them all and reuses them on every step: the state
+    (a copy of the caller's `y`, which is not modified), the four slopes
+    k1..k4 and a pair that holds the stage arguments and then 2k2, 2k3.
+    `on_sample` must copy what it keeps.  `bind(x, k)` is called once for
+    each input and output pair, (state, k1) and (stage, k2), (stage, k3),
+    (stage, k4), and returns `f(row)`, which writes dy/dt at x into k; it
+    builds its views of x and k once, when bound.
+
+    Forcing, in chunks of _CHUNK steps: at the first step j of a chunk,
+    _rk4 calls `forcing(drive[2j : 2j + 2 _CHUNK + 1])` once, which
+    returns one row per drive value (fewer rows for the last, partial
+    chunk), so that the drive term costs no call per stage.  Step j + i
+    hands rows 2i, 2i+1, 2i+1 and 2i+2 to its four stages.  Within a
+    chunk a drive value met twice in a row (the two midpoint stages; the
+    end of a step and the start of the next) is the same row object, so
+    an rhs may compare rows with `is` to skip work it already did.
+
+    The update keeps the operand order of y + (h/6)(((k1 + 2k2) + 2k3)
+    + k4) and the stage arguments y + (h/2)k and y + hk, so it changes no
+    bit; 2k2 and 2k3 are one product over the adjacent slopes.  The step
     constants are arrays of y's shape and dtype, built once: numpy would
     convert a Python scalar on every multiply, at the cost of the multiply
     itself, to the same complex value.
     """
     h = grid.dt / _SUBSTEPS
     y = np.array(y)
-    stage, acc = np.empty_like(y), np.empty_like(y)
-    half_h, full_h, two, sixth_h = (np.full_like(y, v) for v in (0.5 * h, h, 2, h / 6.0))
+    slopes = np.empty((4, *y.shape), dtype=y.dtype)
+    k1, k2, k3, k4 = slopes
+    k23 = slopes[1:3]
+    # the stage arguments, then 2k2 and 2k3, with the sum built in stage
+    scratch = np.empty_like(k23)
+    stage, twice_k3 = scratch
+    f1, f2, f3, f4 = bind(y, k1), bind(stage, k2), bind(stage, k3), bind(stage, k4)
+    half_h, full_h, sixth_h = (np.full_like(y, v) for v in (0.5 * h, h, h / 6.0))
+    two = np.full_like(scratch, 2)
+    add, mul = np.add, np.multiply
     on_sample(0, y)
     for j in range(_SUBSTEPS * (grid.n_samples - 1)):
-        b0, bm, b1 = drive[2 * j], drive[2 * j + 1], drive[2 * j + 2]
-        k1 = rhs(y, b0)
-        k2 = rhs(np.add(y, np.multiply(half_h, k1, out=stage), out=stage), bm)
-        k3 = rhs(np.add(y, np.multiply(half_h, k2, out=stage), out=stage), bm)
-        k4 = rhs(np.add(y, np.multiply(full_h, k3, out=stage), out=stage), b1)
-        np.add(k1, np.multiply(two, k2, out=acc), out=acc)
-        np.add(acc, np.multiply(two, k3, out=stage), out=acc)
-        np.add(acc, k4, out=acc)
-        np.add(y, np.multiply(sixth_h, acc, out=acc), out=y)
+        i = 2 * (j % _CHUNK)
+        if i == 0:
+            rows = list(forcing(drive[2 * j : 2 * j + 2 * _CHUNK + 1]))
+        f1(rows[i])
+        add(y, mul(half_h, k1, stage), stage)
+        f2(rows[i + 1])
+        add(y, mul(half_h, k2, stage), stage)
+        f3(rows[i + 1])
+        add(y, mul(full_h, k3, stage), stage)
+        f4(rows[i + 2])
+        mul(two, k23, scratch)
+        add(k1, stage, stage)
+        add(stage, twice_k3, stage)
+        add(stage, k4, stage)
+        add(y, mul(sixth_h, stage, stage), y)
         if (j + 1) % _SUBSTEPS == 0:
             on_sample((j + 1) // _SUBSTEPS, y)
     return y
@@ -286,19 +317,9 @@ def _meanfield_rows(grid, jobs, drive) -> list[tuple[np.ndarray, dict]]:
     b_size = len(jobs)
     alpha = np.array([a for a, _, _ in jobs], dtype=complex)
     ge = np.array([st.g_eff(q.g_coupling) for _, st, q in jobs])
-    ige = 1j * ge
     ge4 = 4.0 * ge
-    sk = math.sqrt(p.kappa)
+    sk_b = np.full(b_size, math.sqrt(p.kappa), dtype=complex)
     decay = -(1j * -p.detuning + p.kappa / 2.0)
-    # Constants enter as arrays of the batch's shape and dtype: numpy
-    # converts a Python scalar operand on every call, which costs as much
-    # as the arithmetic itself at these sizes.
-    decay_re, decay_im, sk_b, minus_2t1 = (
-        np.full(b_size, v, dtype=complex) for v in (decay.real, decay.imag, sk, -2.0 * p.t1)
-    )
-    minus_t1 = np.full(b_size, -p.t1)
-    one = np.ones(b_size)
-    i_b = np.full(b_size, 1j)
     c_traj = np.empty((b_size, n), dtype=complex)
     max_s = np.zeros(b_size)
     max_z = np.full(b_size, -1.0)
@@ -307,15 +328,63 @@ def _meanfield_rows(grid, jobs, drive) -> list[tuple[np.ndarray, dict]]:
     # its scalar arithmetic does not.  So each product below has a real or
     # an imaginary factor, except b * alpha, which keeps the operand order
     # of the vector product (upsampled envelope times alpha) it replaces,
-    # and -x/d is written x/(-d), which rounds the same.  The <z> equation
-    # uses -2i g (c s* - c* s) = 4 g Im(c s*).  A batch then rounds exactly
-    # as one trajectory stepped in scalar arithmetic.
-    def rhs(y, b):
-        c, s, z = y
-        dc = decay_re * c + decay_im * (i_b * c) - ige * s - sk_b * (b * alpha)
-        ds = s / minus_2t1 + ige * z * c
-        dz = (z.real + one) / minus_t1 + ge4 * (c.imag * s.real - c.real * s.imag)
-        return np.array([dc, ds, dz])
+    # and -x/d is written x/(-d).  The <z> equation uses
+    # -2i g (c s* - c* s) = 4 g Im(c s*).  A batch then rounds exactly as
+    # one trajectory stepped in scalar arithmetic
+    # (tests/_oracles.meanfield_reference_rows, one array per operation).
+    #
+    # The rhs makes 11 ufunc calls, each on several rows at once, into
+    # scratch rows built once.  Constants are arrays of the batch's shape
+    # and dtype, since numpy converts a Python scalar operand on every
+    # call at the cost of the arithmetic itself.  A product whose factor
+    # has a zero part adds only exact zeros, so each row rounds as its
+    # one-row form:
+    # * [c, s, z] * [decay.real, 1/(-2 T1), 1] gives decay.real c, s/(-2 T1)
+    #   and z + 0i: numpy divides by a real-valued complex d as a multiply
+    #   by 1/d, so s * (1/(-2 T1)) rounds as s / (-2 T1);
+    # * i g [s, z] gives i g s and the coefficient i g z of <c> in ds;
+    # * [i decay.imag, i g z] * c: i decay.imag c rounds as decay.imag (i c);
+    # * adding [0, 0, 1] to the z row makes it z + 1, read as its real part;
+    # * [Im c, Re c] * [Re s, Im s] gives both products of Im(c s*).
+    # The drive term sqrt(kappa) (b alpha) is one row of a (2 _CHUNK + 1, B)
+    # product per chunk, rounded as the per-step b * alpha.
+    coef = np.array([np.full(b_size, v, dtype=complex)
+                     for v in (decay.real, 1.0 / (-2.0 * p.t1), 1.0)])
+    ig_rows = np.empty((3, b_size), dtype=complex)      # i decay.imag, i g s, i g z
+    ig_rows[0] = 1j * decay.imag
+    ig_s, ig_sz, ig_cz = ig_rows[1], ig_rows[1:3], ig_rows[0::2]
+    ige = np.full((2, b_size), 1j * ge)
+    left, right = np.empty((3, b_size), dtype=complex), np.zeros((3, b_size), dtype=complex)
+    right[2] = 1.0
+    right_cs = right[0:2]
+    im_cs = np.empty((2, b_size))
+    im_cs0, im_cs1 = im_cs
+    minus_t1 = np.full(b_size, -p.t1)
+    add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
+
+    def bind(y, k):
+        c, s_z = y[0], y[1:3]
+        c_pair = c.view(float).reshape(b_size, 2).T[::-1]     # Im c, Re c
+        s_pair = y[1].view(float).reshape(b_size, 2).T        # Re s, Im s
+        dc, dz = k[0], k[2].real
+
+        def rhs(f):
+            mul(ige, s_z, ig_sz)
+            mul(coef, y, left)
+            mul(ig_cz, c, right_cs)
+            add(left, right, k)
+            sub(dc, ig_s, dc)
+            sub(dc, f, dc)
+            mul(c_pair, s_pair, im_cs)
+            sub(im_cs0, im_cs1, im_cs0)
+            mul(ge4, im_cs0, im_cs0)
+            div(dz, minus_t1, dz)
+            add(dz, im_cs0, dz)
+
+        return rhs
+
+    def forcing(d):
+        return mul(sk_b, mul(d[:, None], alpha))
 
     def on_sample(k, y):
         c_traj[:, k] = y[0]
@@ -325,7 +394,7 @@ def _meanfield_rows(grid, jobs, drive) -> list[tuple[np.ndarray, dict]]:
 
     y0 = np.zeros((3, b_size), dtype=complex)
     y0[2] = -1.0
-    _rk4(rhs, y0, drive, grid, on_sample)
+    _rk4(bind, y0, drive, forcing, grid, on_sample)
 
     out = []
     for k in range(b_size):
@@ -412,27 +481,36 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
     # The drive adds sqrt(kappa)(conj(beta) c - beta c^d) to the generator,
     # written in place on the two diagonals where c and c^d live; c is real,
     # so this rounds as the dense sum on every entry the drive reaches.
-    # RK4 meets each drive value twice in a row (the two midpoint stages;
-    # the end of a step and the start of the next): rewrite on a change only.
+    # The forcing row is b * scale; RK4 meets each row twice in a row (the
+    # two midpoint stages; the end of a step and the start of the next) as
+    # the same object: rewrite on a new row only.
     gen = gen_eff.copy()
     sup, sub = (gen.reshape(b_size, d * d)[:, k :: d + 1] for k in (1, d))
     eff_sup, eff_sub = sup.copy(), sub.copy()
     c_sup = np.diagonal(C, 1)
-    last_b = [np.nan]
+    last_row = [None]
 
-    def rhs(r, b):
-        if b != last_b[0]:
-            last_b[0] = b
-            u = sk * ((b * scale)[:, None] * c_sup)
-            np.add(eff_sup, np.conj(u), out=sup)
-            np.subtract(eff_sub, u, out=sub)
-        x = gen @ r
-        out = np.conjugate(x.swapaxes(1, 2), order="C")
-        out += x
+    def bind(r, out):
         v, rv = out.reshape(-1), r.reshape(-1)
-        v[: -d - 1] += cavity_w * rv[d + 1 :]
-        v[: -nf * (d + 1)] += charge_w * rv[nf * (d + 1) :]
-        return out
+        cavity_to, cavity_from = v[: -d - 1], rv[d + 1 :]
+        charge_to, charge_from = v[: -nf * (d + 1)], rv[nf * (d + 1) :]
+
+        def rhs(row):
+            if row is not last_row[0]:
+                last_row[0] = row
+                u = sk * (row[:, None] * c_sup)
+                np.add(eff_sup, np.conj(u), out=sup)
+                np.subtract(eff_sub, u, out=sub)
+            x = gen @ r
+            np.conjugate(x.swapaxes(1, 2), out=out)
+            np.add(out, x, out=out)
+            np.add(cavity_to, cavity_w * cavity_from, out=cavity_to)
+            np.add(charge_to, charge_w * charge_from, out=charge_to)
+
+        return rhs
+
+    def forcing(dr):
+        return dr[:, None] * scale
 
     n = grid.n_samples
     records = {name: np.empty((b_size, n), dtype=complex) for name in ops}
@@ -445,7 +523,7 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
             records[name][:, k] = (r * opt).sum(axis=(1, 2))
         np.maximum(drift, np.abs(np.trace(r, axis1=1, axis2=2) - 1.0), out=drift)
 
-    rho = _rk4(rhs, rho, drive, grid, on_sample)
+    rho = _rk4(bind, rho, drive, forcing, grid, on_sample)
     # `not <=` so that a NaN drift fails as well
     if not np.all(drift <= 1e-6):
         raise NumericsError(f"master-equation trace drifted by {drift.max():.3e}")

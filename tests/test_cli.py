@@ -16,6 +16,7 @@ from resgate.cli import (
     main,
 )
 from resgate.errors import ConfigError
+from resgate.gate import sweep_photon_number
 from resgate.svgplot import line_chart
 
 DEFAULT_CFG = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
@@ -204,18 +205,46 @@ def test_numerics_exit_code(tmp_path, capsys):
 
 def test_coarse_grid_fails_with_one_line(tmp_path):
     # nine samples at alpha = 20: the meanfield RK4 step overflows.  The
-    # run reports that once, with no numpy warnings before it
+    # run reports that once, with no numpy warnings before it; the sweep
+    # runs on the same explicit grid as reflect, not the automatic one
     cfg = tmp_path / "coarse.cfg"
     cfg.write_text(DEFAULT_CFG.read_text().replace("samples = 0", "samples = 9"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "resgate.cli", "reflect", "--config", str(cfg),
-         "--backend", "meanfield", "--out", str(tmp_path)],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
-             "PYTHONWARNINGS": "default"},
-    )
-    assert proc.returncode == 3
-    assert proc.stderr == "numerical failure: backend meanfield: meanfield output field is not finite\n"
+    for command, message in (
+        ("reflect", "backend meanfield: meanfield output field is not finite"),
+        ("fidelity", "meanfield output field is not finite"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "resgate.cli", command, "--config", str(cfg),
+             "--backend", "meanfield", "--out", str(tmp_path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+                 "PYTHONWARNINGS": "default"},
+        )
+        assert proc.returncode == 3, command
+        assert proc.stderr == f"numerical failure: {message}\n"
+    assert not (tmp_path / "fidelity.csv").exists()
+
+
+def test_fidelity_honours_explicit_samples(tmp_path):
+    # an explicit [pulse] samples reaches the sweep's pulse, as it reaches
+    # reflect's: the CSV moves off the automatic grid's and equals the
+    # in-process sweep on the 705-sample grid, printed at 12 digits
+    cfg = tmp_path / "s705.cfg"
+    cfg.write_text(DEFAULT_CFG.read_text().replace("samples = 0", "samples = 705"))
+    assert main(["fidelity", "--config", str(cfg), "--out", str(tmp_path / "s705")]) == 0
+    assert main(["fidelity", "--config", str(DEFAULT_CFG), "--out", str(tmp_path / "auto")]) == 0
+    got = (tmp_path / "s705" / "fidelity.csv").read_text()
+    assert got != (tmp_path / "auto" / "fidelity.csv").read_text()
+
+    c = load_config(cfg)
+    points = sweep_photon_number(c.device, c.sweep_points, backend=c.backend, tau=c.tau, n_samples=705)
+    rows = []
+    for pt in points:
+        values = {"x_value": pt.x_value, "fidelity": pt.fidelity, "mean_photon_exact": pt.mean_photon}
+        for lab, (xi, eps, eta) in pt.per_state.items():
+            values.update({f"xi_{lab}": xi, f"eps_{lab}": eps, f"eta_{lab}": eta})
+        rows.append(",".join(f"{values[col]:.12g}" for col in FIDELITY_COLUMNS))
+    assert got.strip().split("\n")[1:] == rows
 
 
 def test_regime_report(capsys):

@@ -5,16 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import dense_lindblad_evolve, filter_state_metrics
+from _oracles import dense_lindblad_evolve, filter_state_metrics, meanfield_reference_rows, rk4_reference
 from resgate.errors import NumericsError
 from resgate.pulse import TimeGrid, default_grid, gaussian_pulse
 from resgate.qmath import DensityMatrix, HilbertSpace
 from resgate.scattering import (
+    _CHUNK,
     MEANFIELD_EXCITATION_BOUND,
     STATE_LABELS,
     _decompose,
     _evolve_master_batch,
     _meanfield_rows,
+    _rk4,
     _upsample,
     evolve_master,
     joint_state,
@@ -293,6 +295,60 @@ def test_batch_elements_equal_single_runs(ref, ref_tau):
         rtol=1e-12, atol=1e-15 * np.abs(single.diagnostics["c_trajectory"]).max(),
     )
     assert batch[0]["11"].alpha_in == 0.05 and batch[1]["10"].state.label == "10"
+
+
+def _meanfield_bytes(row):
+    c, diags = row
+    keys = ("peak_photon", "peak_excitation", "max_sigma_abs")
+    return [c.tobytes()] + [np.float64(diags[key]).tobytes() for key in keys]
+
+
+@pytest.mark.parametrize("detuning, n_samples", [(0.0, 705), (0.3, 705), (0.3, 700)])
+def test_meanfield_rows_equal_reference_loop(ref, ref_tau, detuning, n_samples):
+    # the stepper's in-place rhs against the one-array-per-operation loop
+    # it replaced, bit for bit, at amplitudes from linear to saturated;
+    # 700 samples end on a partial forcing chunk
+    pulse = gaussian_pulse(ref_tau, default_grid(ref_tau, ref.kappa, n_samples=n_samples))
+    drive = _upsample(pulse.envelope)
+    p = dataclasses.replace(ref, detuning=detuning * ref.kappa)
+    jobs = [(a, joint_state(lab), p) for a in (0.1, 1, 5, 22, 0.7 - 0.4j) for lab in ("00", "01")]
+    rows = _meanfield_rows(pulse.grid, jobs, drive)
+    want = meanfield_reference_rows(pulse.grid, jobs, drive)
+    for k, (got, ref_row) in enumerate(zip(rows, want)):
+        assert _meanfield_bytes(got) == _meanfield_bytes(ref_row), jobs[k][:2]
+    # a job alone rounds as its row of the batch
+    alone = _meanfield_rows(pulse.grid, jobs[7:8], drive)[0]
+    assert _meanfield_bytes(alone) == _meanfield_bytes(rows[7])
+
+
+def test_rk4_partial_chunk_keeps_y0_and_each_record(ref, ref_tau):
+    # the stepper on y' = lam y - b scale against the plain loop, over
+    # 700 samples: 2,796 steps, so the last forcing chunk is partial.
+    # The caller's y0 stays as it was, and every grid point's record is
+    # the reference loop's
+    grid = default_grid(ref_tau, ref.kappa, n_samples=700)
+    assert 4 * (grid.n_samples - 1) % _CHUNK != 0
+    drive = _upsample(gaussian_pulse(ref_tau, grid).envelope)
+    lam = np.full((2, 3), (-0.3 + 0.2j) * ref.kappa)
+    scale = np.array([1.0, 0.5 - 0.25j, -2j]) * ref.kappa
+    y0 = (np.arange(6.0) - 2.5j).reshape(2, 3)
+    before = y0.copy()
+
+    def bind(x, k):
+        def rhs(row):
+            np.multiply(lam, x, out=k)
+            np.subtract(k, row, out=k)
+        return rhs
+
+    got, want = [], []
+    y_end = _rk4(bind, y0, drive, lambda d: d[:, None] * scale, grid,
+                 lambda k, y: got.append((k, y.copy())))
+    rk4_reference(lambda y, b: lam * y - b * scale, y0, drive, grid,
+                  lambda k, y: want.append((k, y.copy())))
+    assert y0.tobytes() == before.tobytes()
+    assert [k for k, _ in got] == [k for k, _ in want] == list(range(grid.n_samples))
+    assert all(g.tobytes() == w.tobytes() for (_, g), (_, w) in zip(got, want))
+    assert y_end.tobytes() == got[-1][1].tobytes()
 
 
 def test_batch_rejects_mixed_devices(ref, ref_pulse):

@@ -5,9 +5,11 @@ benchmark run that traces nothing."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import resgate
+from resgate import scattering
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -48,3 +50,14 @@ def test_traced_names_resolve_and_public_names_pinned():
         "xi_effective",
     ]
     assert all(hasattr(resgate, name) for name in resgate.__all__)
+
+    # the batch kernels every meanfield and master run goes through, which
+    # a per-batch span wraps: their positional parameters, all required
+    for fn, params in (
+        (scattering._meanfield_rows, ["grid", "jobs", "drive"]),
+        (scattering._evolve_master_batch,
+         ["space", "g_eff", "params", "grid", "drive", "scale", "rho", "ops"]),
+    ):
+        sig = inspect.signature(fn).parameters
+        assert list(sig) == params, fn.__name__
+        assert all(q.kind is q.POSITIONAL_OR_KEYWORD and q.default is q.empty for q in sig.values())
