@@ -38,11 +38,10 @@ from .device import (
 from .errors import ConfigError, NumericsError
 from .gate import sweep_coupling_variation, sweep_photon_number
 from .pulse import MIN_GRID_SAMPLES, default_grid, gaussian_pulse
-from .scattering import STATE_LABELS, scatter_all_states, xi_effective
+from .scattering import BACKENDS, STATE_LABELS, scatter_all_states, xi_effective
 from .svgplot import save_chart
 
 _TWO_PI_MHZ = 2.0 * math.pi * 1e6
-_BACKENDS = ("analytic", "filter", "meanfield", "master")
 
 # Size limits, checked in load_config before anything is allocated.  The
 # default grid has 2,817 samples; tau_over_kappa = 0.01 would ask for
@@ -211,12 +210,16 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"[sweep] kind = {kind!r}: expected photon or coupling")
     points = _parse_points(_get(cp, "sweep", "points"), "sweep")
     alpha = _get_float(cp, "sweep", "alpha", "1")
-    if kind == "coupling" and alpha == 0:
-        raise ConfigError("[sweep] alpha must be nonzero for a coupling sweep")
+    if kind == "coupling":
+        if alpha == 0:
+            raise ConfigError("[sweep] alpha must be nonzero for a coupling sweep")
+        for x in points:
+            if not -1.0 < x <= 1.0:
+                raise ConfigError(f"[sweep] coupling fraction {x} outside (-1, 1]")
 
     backend = _get(cp, "run", "backend", "filter").strip()
-    if backend not in _BACKENDS:
-        raise ConfigError(f"[run] backend = {backend!r}: expected one of {_BACKENDS}")
+    if backend not in BACKENDS:
+        raise ConfigError(f"[run] backend = {backend!r}: expected one of {BACKENDS}")
     fock_dim = _get_int(cp, "run", "fock_dim", "16")
     if fock_dim < 2:
         raise ConfigError("[run] fock_dim must be >= 2")
@@ -262,26 +265,26 @@ def cmd_levels(cfg: RunConfig, plot: bool) -> int:
     if t == 0:
         raise ConfigError("[device] tunneling_over_2pi_MHz must be nonzero for levels")
     deltas = np.linspace(-cfg.levels_span * t, cfg.levels_span * t, cfg.levels_points)
-    rows = []
-    for d in deltas:
-        ev = np.linalg.eigvalsh(dqd_hamiltonian(d, t))
-        rows.append((d, ev[0], ev[1], ev[1] - ev[0]))
+    low, high = np.array([np.linalg.eigvalsh(dqd_hamiltonian(d, t)) for d in deltas]).T
+    gap = high - low
+    columns = {
+        "delta_rad_per_s": deltas,
+        "energy_low_rad_per_s": low,
+        "energy_high_rad_per_s": high,
+        "gap_rad_per_s": gap,
+    }
     out = cfg.output_dir / "levels.csv"
-    _write_rows(
-        out,
-        ("delta_rad_per_s", "energy_low_rad_per_s", "energy_high_rad_per_s", "gap_rad_per_s"),
-        rows,
-    )
+    _write_rows(out, columns, zip(*columns.values()))
     if plot:
         save_chart(
             cfg.output_dir / "levels.svg",
-            [r[0] for r in rows],
-            [r[3] for r in rows],
+            deltas,
+            gap,
             title="charge gap vs bias",
             x_label="delta (rad/s)",
             y_label="gap (rad/s)",
         )
-    print(f"wrote {out} ({len(rows)} rows); min gap {_g12(min(r[3] for r in rows))} rad/s")
+    print(f"wrote {out} ({len(deltas)} rows); min gap {_g12(gap.min())} rad/s")
     return 0
 
 
@@ -290,77 +293,60 @@ def _pulse_for(cfg: RunConfig):
     return gaussian_pulse(cfg.tau, grid)
 
 
+def _run_backend(cfg: RunConfig, fn, *args, **kwargs):
+    """fn(*args, **kwargs) on the configured backend and Fock size; a
+    failure is reported as a numerics failure of that backend."""
+    try:
+        return fn(*args, backend=cfg.backend, fock_dim=cfg.fock_dim, **kwargs)
+    except (NumericsError, ValueError) as exc:
+        raise NumericsError(f"backend {cfg.backend}: {exc}") from exc
+
+
 def cmd_reflect(cfg: RunConfig, plot: bool) -> int:
     f_in = _pulse_for(cfg)
     alpha = cfg.sweep_alpha
     if alpha == 0:
         raise ConfigError("[sweep] alpha must be nonzero for reflect")
-    try:
-        results = scatter_all_states(
-            f_in, alpha, cfg.device, backend=cfg.backend, fock_dim=cfg.fock_dim
-        )
-    except (NumericsError, ValueError) as exc:
-        raise NumericsError(f"backend {cfg.backend}: {exc}") from exc
+    results = _run_backend(cfg, scatter_all_states, f_in, alpha, cfg.device)
 
     times = f_in.grid.times()
+    g_in = alpha * f_in.envelope
     summary = []
     for label in STATE_LABELS:
         r = results[label]
-        g_in = alpha * f_in.envelope
         g_out = abs(r.alpha_out) * r.f_out.envelope
-        _write_rows(
-            cfg.output_dir / f"reflect_{label}.csv",
-            ("time_s", "in_re", "in_im", "out_re", "out_im"),
-            zip(times, g_in.real, g_in.imag, g_out.real, g_out.imag),
-        )
-        xi_eff = xi_effective(r)
-        summary.append(
-            (
-                label,
-                float(np.real(r.xi)),
-                xi_eff.real,
-                xi_eff.imag,
-                r.epsilon,
-                r.eta,
-                r.phase,
-                r.alpha_out.real,
-                r.alpha_out.imag,
-                r.backend,
-            )
-        )
-    out = cfg.output_dir / "reflect_summary.csv"
-    _write_rows(
-        out,
-        (
-            "state",
-            "xi_analytic",
-            "xi_eff_re",
-            "xi_eff_im",
-            "epsilon",
-            "eta",
-            "phase_rad",
-            "alpha_out_re",
-            "alpha_out_im",
-            "backend",
-        ),
-        summary,
-    )
-    if plot:
-        for label in STATE_LABELS:
-            r = results[label]
+        trace = {"time_s": times, "in_re": g_in.real, "in_im": g_in.imag,
+                 "out_re": g_out.real, "out_im": g_out.imag}
+        _write_rows(cfg.output_dir / f"reflect_{label}.csv", trace, zip(*trace.values()))
+        if plot:
             save_chart(
                 cfg.output_dir / f"reflect_{label}.svg",
                 times,
-                np.abs(abs(r.alpha_out) * r.f_out.envelope) ** 2,
+                np.abs(g_out) ** 2,
                 title=f"reflected power, state {label}",
                 x_label="t (s)",
                 y_label="|g_out|^2",
             )
+        xi_eff = xi_effective(r)
+        summary.append({
+            "state": label,
+            "xi_analytic": float(np.real(r.xi)),
+            "xi_eff_re": xi_eff.real,
+            "xi_eff_im": xi_eff.imag,
+            "epsilon": r.epsilon,
+            "eta": r.eta,
+            "phase_rad": r.phase,
+            "alpha_out_re": r.alpha_out.real,
+            "alpha_out_im": r.alpha_out.imag,
+            "backend": r.backend,
+        })
+    out = cfg.output_dir / "reflect_summary.csv"
+    _write_rows(out, summary[0], (record.values() for record in summary))
     print(f"wrote {out}")
-    for row in summary:
+    for record in summary:
         print(
-            f"  state {row[0]}: xi_eff = {row[2]:+.6f}{row[3]:+.6f}j"
-            f"  eps = {row[4]:.4g}  eta = {row[5]:.4g}  phase = {row[6]:+.4f}"
+            "  state {state}: xi_eff = {xi_eff_re:+.6f}{xi_eff_im:+.6f}j"
+            "  eps = {epsilon:.4g}  eta = {eta:.4g}  phase = {phase_rad:+.4f}".format(**record)
         )
     flagged = [lab for lab in STATE_LABELS if results[lab].diagnostics.get("unreliable")]
     if flagged:
@@ -372,60 +358,34 @@ def cmd_reflect(cfg: RunConfig, plot: bool) -> int:
     return 0
 
 
+def _fidelity_row(p) -> list[float]:
+    """The FIDELITY_COLUMNS of one sweep point, in order."""
+    values = {"x_value": p.x_value, "fidelity": p.fidelity, "mean_photon_exact": p.mean_photon}
+    for lab, (xi, eps, eta) in p.per_state.items():
+        values.update({f"xi_{lab}": xi, f"eps_{lab}": eps, f"eta_{lab}": eta})
+    return [values[col] for col in FIDELITY_COLUMNS]
+
+
 def cmd_fidelity(cfg: RunConfig, plot: bool) -> int:
     if cfg.sweep_kind == "photon":
-        points = sweep_photon_number(
-            cfg.device,
-            cfg.sweep_points,
-            backend=cfg.backend,
-            tau=cfg.tau,
-            fock_dim=cfg.fock_dim,
-            n_samples=cfg.samples,
-        )
-        x_label = "mean photon number |alpha|^2"
+        sweep, args, x_label = sweep_photon_number, (), "mean photon number |alpha|^2"
     else:
-        points = sweep_coupling_variation(
-            cfg.device,
-            cfg.sweep_points,
-            cfg.sweep_alpha,
-            backend=cfg.backend,
-            tau=cfg.tau,
-            fock_dim=cfg.fock_dim,
-            n_samples=cfg.samples,
-        )
-        x_label = "fractional coupling change"
-
-    rows = []
-    for p in points:
-        per = p.per_state
-        rows.append(
-            (
-                p.x_value,
-                p.fidelity,
-                per["00"][1],
-                per["01"][1],
-                per["11"][1],
-                per["00"][2],
-                per["01"][2],
-                per["11"][2],
-                per["00"][0],
-                per["01"][0],
-                per["11"][0],
-                p.mean_photon,
-            )
-        )
+        sweep, args, x_label = sweep_coupling_variation, (cfg.sweep_alpha,), "fractional coupling change"
+    points = _run_backend(
+        cfg, sweep, cfg.device, cfg.sweep_points, *args, tau=cfg.tau, n_samples=cfg.samples
+    )
     out = cfg.output_dir / "fidelity.csv"
-    _write_rows(out, FIDELITY_COLUMNS, rows)
+    _write_rows(out, FIDELITY_COLUMNS, map(_fidelity_row, points))
     if plot:
         save_chart(
             cfg.output_dir / "fidelity.svg",
-            [r[0] for r in rows],
-            [r[1] for r in rows],
+            [p.x_value for p in points],
+            [p.fidelity for p in points],
             title="gate fidelity",
             x_label=x_label,
             y_label="F",
         )
-    print(f"wrote {out} ({len(rows)} rows)")
+    print(f"wrote {out} ({len(points)} rows)")
     flagged = sum(p.unreliable for p in points)
     if flagged:
         print(
@@ -502,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("command", choices=sorted(_DISPATCH))
     ap.add_argument("--config", required=True, help="sectioned key-value config file")
-    ap.add_argument("--backend", choices=_BACKENDS, help="override [run] backend")
+    ap.add_argument("--backend", choices=BACKENDS, help="override [run] backend")
     ap.add_argument("--plot", action="store_true", help="also write SVG charts")
     ap.add_argument("--out", help="output directory (default: out)")
     return ap

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 from .device import DeviceParams
 from .errors import NumericsError
 from .pulse import Pulse, default_grid, gaussian_pulse
-from .scattering import STATE_LABELS, ReflectionResult, scatter_all_states, scatter_batch
+from .scattering import (LINEAR_BACKENDS, STATE_LABELS, ReflectionResult, _check_amplitude,
+                         scatter_all_states, scatter_batch)
 
 
 @dataclass
@@ -149,7 +150,9 @@ def sweep_photon_number(
     f_in = _default_pulse(params, tau, n_samples)
     alphas = [complex(a) for a in alphas]
     driven = [a for a in alphas if a != 0]
-    if backend in ("analytic", "filter"):
+    if backend in LINEAR_BACKENDS:
+        for a in driven:
+            _check_amplitude(a)
         shared = scatter_all_states(f_in, 1.0, params, backend=backend)
         runs = [
             {
@@ -187,8 +190,6 @@ def sweep_coupling_variation(
         if not -1.0 < x <= 1.0:
             raise ValueError(f"coupling fraction {x} outside (-1, 1]")
     alpha = complex(alpha)
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero for a coupling sweep")
     f_in = _default_pulse(params, tau, n_samples)
     varied = [replace(params, g_coupling=params.g_coupling * (1.0 + x)) for x in fractions]
     runs = scatter_batch(f_in, [(alpha, p) for p in varied], backend, fock_dim)

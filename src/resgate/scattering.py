@@ -23,6 +23,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import accumulate
 
 import numpy as np
@@ -33,6 +34,11 @@ from .pulse import Pulse, Spectrum, inverse_spectrum, overlap, spectrum
 from .qmath import DensityMatrix, HilbertSpace
 
 PASSIVITY_SLACK = 1e-6
+
+# The backends, cheapest first; the linear ones scatter independently of
+# the amplitude.
+LINEAR_BACKENDS = ("analytic", "filter")
+BACKENDS = LINEAR_BACKENDS + ("meanfield", "master")
 
 # Largest peak charge excitation p = (1 + max<sigma_z>)/2 at which the
 # meanfield backend counts as valid.  The factorisation <c sigma> ->
@@ -46,8 +52,8 @@ PASSIVITY_SLACK = 1e-6
 # `unreliable`, the key master uses for its own truncation limit.
 MEANFIELD_EXCITATION_BOUND = 0.035
 
-# Largest population of the top two Fock levels at which the master
-# backend counts its truncation as valid.
+# Largest population of the top two Fock levels, at its peak over the
+# run, at which the master backend counts its truncation as valid.
 FOCK_TAIL_BOUND = 1e-4
 
 # RK4 steps per grid interval, the one place the time step is set: _rk4
@@ -150,6 +156,13 @@ def xi_effective(result: ReflectionResult) -> complex:
     long against the cavity response.
     """
     return (1.0 - result.epsilon) * result.alpha_out / result.alpha_in
+
+
+def _check_amplitude(alpha: complex) -> None:
+    """The amplitude rule of every backend: the decomposition divides by
+    |alpha|^2, and the phase is taken relative to alpha."""
+    if not np.isfinite(alpha) or alpha == 0:
+        raise ValueError("alpha must be finite and nonzero")
 
 
 def _decompose(
@@ -432,6 +445,7 @@ def reflect_meanfield(
     MEANFIELD_EXCITATION_BOUND, past which the factorisation error is
     larger than the backend's stated accuracy.
     """
+    _check_amplitude(alpha)
     return _reflect_batch(f_in, [(alpha, state, params)], "meanfield")[0]
 
 
@@ -583,9 +597,12 @@ def required_fock_dim(alpha: complex, f_in: Pulse, kappa: float) -> float:
 def _master_rows(grid, jobs, drive, fock_dim: int) -> list[tuple[np.ndarray, dict]]:
     """(<c> trajectory, diagnostics) of each (alpha, state, params) job,
     from the density matrix propagated as one RK4 batch on `drive`, the
-    upsampled envelope; _reflect_batch validates the jobs."""
+    upsampled envelope; _reflect_batch validates the jobs.  fock_tail is
+    the peak over the run of the top two Fock levels' population, since the
+    cavity is empty again by the end."""
     space = HilbertSpace(fock_dim)
     C = space.cavity_op()
+    top_two = np.diag((np.arange(space.dim) % fock_dim >= fock_dim - 2).astype(complex))
     records, rho, drift = _evolve_master_batch(
         space,
         np.array([st.g_eff(q.g_coupling) for _, st, q in jobs]),
@@ -594,17 +611,16 @@ def _master_rows(grid, jobs, drive, fock_dim: int) -> list[tuple[np.ndarray, dic
         drive,
         np.array([a for a, _, _ in jobs], dtype=complex),
         np.repeat(DensityMatrix.ground(space).matrix[None], len(jobs), axis=0),
-        {"c": C, "n": C.conj().T @ C},
+        {"c": C, "n": C.conj().T @ C, "tail": top_two},
     )
     out = []
     for k in range(len(jobs)):
-        final = DensityMatrix(space, rho[k])
-        tail = final.fock_tail()
+        tail = float(np.max(records["tail"][k].real))
         diags = {
             "peak_photon": float(np.max(records["n"][k].real)),
             "trace_drift": float(drift[k]),
             "fock_tail": tail,
-            "min_eigenvalue": final.min_eigenvalue(),
+            "min_eigenvalue": DensityMatrix(space, rho[k]).min_eigenvalue(),
             "unreliable": tail > FOCK_TAIL_BOUND,
         }
         out.append((records["c"][k], diags))
@@ -619,8 +635,8 @@ def _bare_cavity_field(params: DeviceParams, drive, grid) -> np.ndarray:
     An RK4 step is linear in its inputs, so _rk4 on this equation is the
     recurrence c+ = R c + A0 F0 + Am Fm + A1 F1 (F at the start, middle
     and end of the step), where R, A0, Am and A1 are the step applied to
-    unit inputs.  It runs a grid interval (_SUBSTEPS = 4 steps, written
-    out below) at a time and equals _rk4 up to rounding.
+    unit inputs.  It runs a grid interval (_SUBSTEPS steps) at a time and
+    equals _rk4 up to rounding.
     """
     h = grid.dt / _SUBSTEPS
     lam = -(1j * -params.detuning + params.kappa / 2.0)
@@ -637,10 +653,10 @@ def _bare_cavity_field(params: DeviceParams, drive, grid) -> np.ndarray:
     f0, fm, f1 = (-math.sqrt(params.kappa) * a for a in (a0, am, a1))
     m = 2 * _SUBSTEPS * (grid.n_samples - 1)
     u = (f0 * drive[0:m:2] + fm * drive[1:m:2] + f1 * drive[2 : m + 1 : 2]).reshape(-1, _SUBSTEPS)
-    # c(k+1) = R^4 c(k) + ((u(4k) R + u(4k+1)) R + u(4k+2)) R + u(4k+3)
-    u4 = (((u[:, 0] * r + u[:, 1]) * r + u[:, 2]) * r + u[:, 3]).tolist()
-    r4 = r * r * r * r
-    return np.array(list(accumulate(u4, lambda c, x: r4 * c + x, initial=0j)))
+    # with m = _SUBSTEPS: c(k+1) = R^m c(k) + (..(u(mk) R + u(mk+1)) R + ..) R + u(mk+m-1)
+    u_m = reduce(lambda acc, col: acc * r + col, u.T[1:], u[:, 0]).tolist()
+    r_m = reduce(lambda acc, x: acc * x, [r] * _SUBSTEPS)
+    return np.array(list(accumulate(u_m, lambda c, x: r_m * c + x, initial=0j)))
 
 
 def _coherent_fock_tail(n_mean: float, fock_dim: int) -> float:
@@ -655,14 +671,16 @@ def _coherent_fock_tail(n_mean: float, fock_dim: int) -> float:
 def _bare_row(c_traj, backend: str, fock_dim: int) -> tuple[np.ndarray, dict]:
     """(c_traj, diagnostics) of a dipole-free job: the diagnostics of the
     exact state, a coherent cavity field and a charge left in its ground
-    state, under each backend's keys."""
+    state, under each backend's keys.  The Poisson tail grows with the
+    photon number below the truncation, so its peak is at the peak field."""
+    peak_photon = float(np.max(np.abs(c_traj) ** 2))
     if backend == "meanfield":
         diags = {"max_sigma_abs": 0.0, "peak_excitation": 0.0, "unreliable": False}
     else:
-        tail = _coherent_fock_tail(abs(c_traj[-1]) ** 2, fock_dim)
+        tail = _coherent_fock_tail(peak_photon, fock_dim)
         diags = {"trace_drift": 0.0, "fock_tail": tail, "min_eigenvalue": 0.0,
                  "unreliable": tail > FOCK_TAIL_BOUND}
-    return c_traj, {"peak_photon": float(np.max(np.abs(c_traj) ** 2)), **diags}
+    return c_traj, {"peak_photon": peak_photon, **diags}
 
 
 def _reflect_batch(f_in: Pulse, jobs, backend: str, fock_dim: int = 16) -> list[ReflectionResult]:
@@ -677,8 +695,6 @@ def _reflect_batch(f_in: Pulse, jobs, backend: str, fock_dim: int = 16) -> list[
     if not f_in.is_normalized():
         raise ValueError("input pulse must be normalized")
     for a, _, q in jobs:
-        if not np.isfinite(a) or a == 0:
-            raise ValueError("alpha must be finite and nonzero")
         if backend == "master":
             need = required_fock_dim(a, f_in, q.kappa)
             if fock_dim < need:
@@ -724,8 +740,9 @@ def reflect_master(
     charge in its ground state, so its <c> comes from _bare_cavity_field
     as in meanfield.  Its diagnostics are those of that exact state: zero
     trace drift and minimum eigenvalue, and as fock_tail the Poisson
-    population of the top two Fock levels at the final |<c>|^2.
+    population of the top two Fock levels at the peak |<c>|^2.
     """
+    _check_amplitude(alpha)
     return _reflect_batch(f_in, [(alpha, state, params)], "master", fock_dim)[0]
 
 
@@ -765,10 +782,13 @@ def scatter_batch(
     point as one RK4 batch, so the points must share kappa, t1 and
     detuning.  State 11 couples no dipole: its cavity is bare and
     linear, and one exact recurrence serves it at every point (see
-    _reflect_batch).
+    _reflect_batch).  Every backend takes the same amplitudes: finite and
+    nonzero.
     """
-    if backend not in ("analytic", "filter", "meanfield", "master"):
+    if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
+    for a, _ in points:
+        _check_amplitude(a)
     jobs = [(a, joint_state(lab), p) for a, p in points for lab in _RUN_LABELS]
     if backend == "analytic":
         flat = [_analytic_result(f_in, a, st, p) for a, st, p in jobs]

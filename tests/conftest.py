@@ -111,8 +111,8 @@ def master_half_runs(ref, ref_pulse, master_hygiene):
 @pytest.fixture(scope="session")
 def master_in_range_runs(ref, ref_pulse, master_hygiene):
     """Density-matrix reflection at alpha = 0.25, where meanfield reports
-    every state inside its validity bound.  Fock 8 leaves a truncation
-    tail below 1e-100 at this amplitude."""
+    every state inside its validity bound.  Fock 8 leaves a peak
+    truncation tail of 1.4e-12 (state 01) at this amplitude."""
     runs = scatter_all_states(ref_pulse, 0.25, ref, backend="master", fock_dim=8)
     for lab in ("00", "01"):
         d = runs[lab].diagnostics
@@ -127,10 +127,12 @@ def bare_lab_frame_runs(ref, ref_pulse, master_hygiene):
     """(alpha, fock_dim, {detuning / kappa: MasterRun}): the density matrix
     of the dipole-free cavity (g_eff = 0) driven by alpha times the
     reference pulse, propagated in the lab frame at detunings 0 and
-    0.3 kappa.  The reference for the bare-cavity recurrence; fock 8
-    leaves a truncation error below 3e-15 of peak at this amplitude."""
+    0.3 kappa, recording <c> and the population of the top two Fock
+    levels.  The reference for the bare-cavity recurrence; fock 8 leaves a
+    truncation error below 3e-15 of peak at this amplitude."""
     alpha, fock_dim = 0.1, 8
     space = HilbertSpace(fock_dim)
+    top_two = np.diag((np.arange(space.dim) % fock_dim >= fock_dim - 2).astype(complex))
     runs = {}
     for det in (0.0, 0.3):
         run = evolve_master(
@@ -140,6 +142,7 @@ def bare_lab_frame_runs(ref, ref_pulse, master_hygiene):
             ref_pulse.grid,
             alpha * ref_pulse.envelope,
             DensityMatrix.ground(space),
+            record_ops={"tail": top_two},
         )
         master_hygiene.append(
             (f"bare_lab_frame_{det}", run.trace_drift, run.final_state.min_eigenvalue(), run.final_state.fock_tail())

@@ -85,6 +85,16 @@ def test_config_error_cases(tmp_path):
     with pytest.raises(ConfigError, match="alpha"):
         load_config(zero)
 
+    # so is a coupling fraction outside (-1, 1]: g (1 + x) must stay positive
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(
+        DEFAULT_CFG.read_text()
+        .replace("kind = photon", "kind = coupling")
+        .replace("points = 0:22:23", "points = -0.5:1.5:5")
+    )
+    with pytest.raises(ConfigError, match="coupling fraction 1.5 outside"):
+        load_config(wide)
+
     # sizes are capped before anything is allocated: a short pulse's
     # automatic grid (2,048,769 samples at tau_over_kappa = 0.01,
     # which left reflect still running after 60 s) and each cap + 1
@@ -184,6 +194,19 @@ def test_unreliable_points_warn_on_stderr(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_master_truncation_warns_on_stderr(tmp_path, capsys):
+    # Fock 4 at alpha = 0.5: every state's pulse fills the top two levels
+    # past the bound, though each run ends with an empty cavity
+    cfg = tmp_path / "fock4.cfg"
+    cfg.write_text(
+        DEFAULT_CFG.read_text().replace("alpha = 20", "alpha = 0.5").replace("fock_dim = 16", "fock_dim = 4")
+    )
+    assert main(["reflect", "--config", str(cfg), "--backend", "master", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: 4 of 4 states (00, 01, 10, 11) outside the validity range of the master backend\n"
+    )
+
+
 def test_cli_imports_no_scipy():
     code = "import sys, resgate.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -209,10 +232,7 @@ def test_coarse_grid_fails_with_one_line(tmp_path):
     # runs on the same explicit grid as reflect, not the automatic one
     cfg = tmp_path / "coarse.cfg"
     cfg.write_text(DEFAULT_CFG.read_text().replace("samples = 0", "samples = 9"))
-    for command, message in (
-        ("reflect", "backend meanfield: meanfield output field is not finite"),
-        ("fidelity", "meanfield output field is not finite"),
-    ):
+    for command in ("reflect", "fidelity"):
         proc = subprocess.run(
             [sys.executable, "-m", "resgate.cli", command, "--config", str(cfg),
              "--backend", "meanfield", "--out", str(tmp_path)],
@@ -221,7 +241,7 @@ def test_coarse_grid_fails_with_one_line(tmp_path):
                  "PYTHONWARNINGS": "default"},
         )
         assert proc.returncode == 3, command
-        assert proc.stderr == f"numerical failure: {message}\n"
+        assert proc.stderr == "numerical failure: backend meanfield: meanfield output field is not finite\n"
     assert not (tmp_path / "fidelity.csv").exists()
 
 

@@ -149,6 +149,9 @@ def test_photon_sweep_shares_linear_scatter(ref):
     # amplitude-independent backend: identical per-state mismatch rows
     assert pts[1].per_state["01"][1] == pts[2].per_state["01"][1]
     assert pts[1].fidelity > pts[2].fidelity
+    # the shortcut keeps scatter_batch's amplitude rule
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        sweep_photon_number(ref, [np.nan], backend="filter")
 
 
 def test_coupling_sweep_consistent_with_photon_sweep(ref):
