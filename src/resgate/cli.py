@@ -6,7 +6,9 @@ internal is angular (rad/s).  Outputs are deterministic: fixed significant
 digits, '.' decimal separator, stable column order.
 
 Exit codes: 0 success, 2 configuration problem, 3 numerical-contract
-failure (passivity, trace drift, invalid sweep values).
+failure (passivity, trace drift, invalid sweep values, a floating-point
+overflow, division by zero or invalid operation, a non-finite CSV value).
+No run ends in a traceback.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ from .device import (
     validate_regime,
 )
 from .errors import ConfigError, NumericsError
-from .gate import sweep_coupling_variation, sweep_photon_number
-from .pulse import MIN_GRID_SAMPLES, default_grid, gaussian_pulse
-from .scattering import BACKENDS, STATE_LABELS, scatter_all_states, xi_effective
+from .gate import _default_pulse, sweep_coupling_variation, sweep_photon_number
+from .pulse import MIN_GRID_SAMPLES, default_grid
+from .scattering import (BACKENDS, DEFAULT_FOCK_DIM, STATE_LABELS, _check_amplitude,
+                         scatter_all_states, xi_effective)
 from .svgplot import save_chart
 
 _TWO_PI_MHZ = 2.0 * math.pi * 1e6
@@ -49,6 +52,10 @@ _TWO_PI_MHZ = 2.0 * math.pi * 1e6
 MAX_GRID_SAMPLES = 100_000
 MAX_SWEEP_POINTS = 1_000
 MAX_LEVELS_POINTS = 100_000
+# One master batch element holds about 8 complex (2 fock_dim)^2 arrays
+# (the RK4 state, slopes and stage pair, and its generator): 512 fock_dim^2
+# bytes, 32 MiB at this cap.  fock_dim = 5000 would ask for 12.8 GB.
+MAX_FOCK_DIM = 256
 
 FIDELITY_COLUMNS = (
     "x_value",
@@ -138,6 +145,14 @@ def _parse_points(text: str, section: str) -> list[float]:
     return values
 
 
+def _check_config_amplitude(alpha: complex, key: str) -> None:
+    """scattering's amplitude rule on the [sweep] key, as a config error."""
+    try:
+        _check_amplitude(alpha)
+    except ValueError as exc:
+        raise ConfigError(f"[sweep] {key}: {exc}") from None
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
@@ -211,18 +226,20 @@ def load_config(path: str | Path) -> RunConfig:
     points = _parse_points(_get(cp, "sweep", "points"), "sweep")
     alpha = _get_float(cp, "sweep", "alpha", "1")
     if kind == "coupling":
-        if alpha == 0:
-            raise ConfigError("[sweep] alpha must be nonzero for a coupling sweep")
+        _check_config_amplitude(alpha, "alpha")
         for x in points:
             if not -1.0 < x <= 1.0:
                 raise ConfigError(f"[sweep] coupling fraction {x} outside (-1, 1]")
+    else:
+        for x in filter(None, points):      # 0 is the exact zero-amplitude point
+            _check_config_amplitude(x, "points")
 
     backend = _get(cp, "run", "backend", "filter").strip()
     if backend not in BACKENDS:
         raise ConfigError(f"[run] backend = {backend!r}: expected one of {BACKENDS}")
-    fock_dim = _get_int(cp, "run", "fock_dim", "16")
-    if fock_dim < 2:
-        raise ConfigError("[run] fock_dim must be >= 2")
+    fock_dim = _get_int(cp, "run", "fock_dim", str(DEFAULT_FOCK_DIM))
+    if not 2 <= fock_dim <= MAX_FOCK_DIM:
+        raise ConfigError(f"[run] fock_dim = {fock_dim}: need 2 to {MAX_FOCK_DIM}")
 
     levels_span = _get_float(cp, "levels", "delta_max_over_T", "50")
     levels_points = _get_int(cp, "levels", "points", "201")
@@ -251,13 +268,22 @@ def _g12(x: float) -> str:
     return f"{x:.12g}"
 
 
+# _g12 of a non-finite float
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+
+
 def _write_rows(path: Path, header, rows) -> None:
+    """The one CSV writer; a non-finite number fails the run before the
+    file is opened."""
+    cells = [[v if isinstance(v, str) else _g12(v) for v in row] for row in rows]
+    for row in cells:
+        if not _NON_FINITE.isdisjoint(row):
+            raise NumericsError(f"{path.name} would hold a non-finite value: {','.join(row)}")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([v if isinstance(v, str) else _g12(v) for v in row])
+        w.writerows(cells)
 
 
 def cmd_levels(cfg: RunConfig, plot: bool) -> int:
@@ -288,11 +314,6 @@ def cmd_levels(cfg: RunConfig, plot: bool) -> int:
     return 0
 
 
-def _pulse_for(cfg: RunConfig):
-    grid = default_grid(cfg.tau, cfg.device.kappa, n_samples=cfg.samples)
-    return gaussian_pulse(cfg.tau, grid)
-
-
 def _run_backend(cfg: RunConfig, fn, *args, **kwargs):
     """fn(*args, **kwargs) on the configured backend and Fock size; a
     failure is reported as a numerics failure of that backend."""
@@ -303,10 +324,9 @@ def _run_backend(cfg: RunConfig, fn, *args, **kwargs):
 
 
 def cmd_reflect(cfg: RunConfig, plot: bool) -> int:
-    f_in = _pulse_for(cfg)
     alpha = cfg.sweep_alpha
-    if alpha == 0:
-        raise ConfigError("[sweep] alpha must be nonzero for reflect")
+    _check_config_amplitude(alpha, "alpha")
+    f_in = _default_pulse(cfg.device, cfg.tau, cfg.samples)
     results = _run_backend(cfg, scatter_all_states, f_in, alpha, cfg.device)
 
     times = f_in.grid.times()
@@ -471,16 +491,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.backend:
-            cfg.backend = args.backend
-        if args.out:
-            cfg.output_dir = Path(args.out)
-        return _DISPATCH[args.command](cfg, args.plot)
+        # a floating-point fault raises FloatingPointError, an ArithmeticError,
+        # where it happens instead of warning and carrying inf or NaN on
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            cfg = load_config(args.config)
+            if args.backend:
+                cfg.backend = args.backend
+            if args.out:
+                cfg.output_dir = Path(args.out)
+            return _DISPATCH[args.command](cfg, args.plot)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericsError, ValueError) as exc:
+    except (NumericsError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 from .device import DeviceParams
 from .errors import NumericsError
 from .pulse import Pulse, default_grid, gaussian_pulse
-from .scattering import (LINEAR_BACKENDS, STATE_LABELS, ReflectionResult, _check_amplitude,
-                         scatter_all_states, scatter_batch)
+from .scattering import (DEFAULT_FOCK_DIM, LINEAR_BACKENDS, STATE_LABELS, ReflectionResult,
+                         _check_amplitude, scatter_all_states, scatter_batch)
 
 
 @dataclass
@@ -134,7 +134,7 @@ def sweep_photon_number(
     alphas,
     backend: str = "filter",
     tau: float | None = None,
-    fock_dim: int = 16,
+    fock_dim: int = DEFAULT_FOCK_DIM,
     n_samples: int | None = None,
 ) -> list[FidelityPoint]:
     """Fidelity versus input amplitude at fixed pulse duration.
@@ -152,7 +152,7 @@ def sweep_photon_number(
     driven = [a for a in alphas if a != 0]
     if backend in LINEAR_BACKENDS:
         for a in driven:
-            _check_amplitude(a)
+            _check_amplitude(a)      # the rescaled amplitudes reach no kernel
         shared = scatter_all_states(f_in, 1.0, params, backend=backend)
         runs = [
             {
@@ -176,7 +176,7 @@ def sweep_coupling_variation(
     alpha: complex,
     backend: str = "filter",
     tau: float | None = None,
-    fock_dim: int = 16,
+    fock_dim: int = DEFAULT_FOCK_DIM,
     n_samples: int | None = None,
 ) -> list[FidelityPoint]:
     """Fidelity versus fractional coupling change g -> g (1 + x).

@@ -56,6 +56,9 @@ MEANFIELD_EXCITATION_BOUND = 0.035
 # run, at which the master backend counts its truncation as valid.
 FOCK_TAIL_BOUND = 1e-4
 
+# Fock truncation of the master backend when the caller names none.
+DEFAULT_FOCK_DIM = 16
+
 # RK4 steps per grid interval, the one place the time step is set: _rk4
 # steps at grid.dt / _SUBSTEPS, _upsample puts the drive at the start,
 # middle and end of each step, and _bare_cavity_field is the same step.
@@ -159,10 +162,13 @@ def xi_effective(result: ReflectionResult) -> complex:
 
 
 def _check_amplitude(alpha: complex) -> None:
-    """The amplitude rule of every backend: the decomposition divides by
-    |alpha|^2, and the phase is taken relative to alpha."""
-    if not np.isfinite(alpha) or alpha == 0:
-        raise ValueError("alpha must be finite and nonzero")
+    """The amplitude rule of every reflection: _decompose divides by |alpha|^2
+    and takes the phase relative to alpha, so |alpha|^2 must be finite and
+    nonzero.  Float products round it to inf at 1e300 and to 0 at 1e-320;
+    ** would raise past about 1.3e154."""
+    a = complex(alpha)
+    if not 0.0 < a.real * a.real + a.imag * a.imag < math.inf:
+        raise ValueError(f"|alpha|^2 must be finite and nonzero, alpha = {alpha}")
 
 
 def _decompose(
@@ -211,6 +217,7 @@ def reflect_filter_pulse(
     f_in: Pulse, state: JointState, params: DeviceParams, alpha: complex = 1.0
 ) -> ReflectionResult:
     """Frequency-domain reflection: multiply the spectrum by r(nu)."""
+    _check_amplitude(alpha)
     if not f_in.is_normalized():
         raise ValueError("input pulse must be normalized")
     sp = spectrum(f_in)
@@ -218,8 +225,7 @@ def reflect_filter_pulse(
         sp.nu, state.g_eff(params.g_coupling), params.kappa, params.t1, params.detuning
     )
     g_out = inverse_spectrum(Spectrum(sp.nu, r * sp.values, sp.grid)).envelope * alpha
-    diags = {"peak_field_sq": float(np.max(np.abs(g_out) ** 2))}
-    return _decompose(f_in, g_out, alpha, state, params, "filter", diags)
+    return _decompose(f_in, g_out, alpha, state, params, "filter", {})
 
 
 def _upsample(values: np.ndarray) -> np.ndarray:
@@ -320,6 +326,13 @@ def _shared_params(jobs) -> DeviceParams:
     return first
 
 
+def _meanfield_diagnostics(peak_photon: float, max_sigma_abs: float, max_z: float) -> dict:
+    """meanfield's diagnostics, from the peaks of |<c>|^2, |<s>| and <z>."""
+    p = float((1.0 + max_z) / 2.0)
+    return {"peak_photon": peak_photon, "max_sigma_abs": float(max_sigma_abs),
+            "peak_excitation": p, "unreliable": p > MEANFIELD_EXCITATION_BOUND}
+
+
 def _meanfield_rows(grid, jobs, drive) -> list[tuple[np.ndarray, dict]]:
     """(<c> trajectory, diagnostics) of each (alpha, state, params) job,
     integrated by reflect_meanfield's equations as one RK4 batch on
@@ -409,17 +422,10 @@ def _meanfield_rows(grid, jobs, drive) -> list[tuple[np.ndarray, dict]]:
     y0[2] = -1.0
     _rk4(bind, y0, drive, forcing, grid, on_sample)
 
-    out = []
-    for k in range(b_size):
-        peak_excitation = float((1.0 + max_z[k]) / 2.0)
-        diags = {
-            "peak_photon": float(np.max(np.abs(c_traj[k]) ** 2)),
-            "max_sigma_abs": float(max_s[k]),
-            "peak_excitation": peak_excitation,
-            "unreliable": peak_excitation > MEANFIELD_EXCITATION_BOUND,
-        }
-        out.append((c_traj[k], diags))
-    return out
+    return [
+        (c, _meanfield_diagnostics(float(np.max(np.abs(c) ** 2)), s, z))
+        for c, s, z in zip(c_traj, max_s, max_z)
+    ]
 
 
 def reflect_meanfield(
@@ -445,7 +451,6 @@ def reflect_meanfield(
     MEANFIELD_EXCITATION_BOUND, past which the factorisation error is
     larger than the backend's stated accuracy.
     """
-    _check_amplitude(alpha)
     return _reflect_batch(f_in, [(alpha, state, params)], "meanfield")[0]
 
 
@@ -594,6 +599,12 @@ def required_fock_dim(alpha: complex, f_in: Pulse, kappa: float) -> float:
     return (4.0 * abs(alpha) * peak / math.sqrt(kappa)) ** 2
 
 
+def _master_diagnostics(peak_photon, trace_drift, fock_tail, min_eigenvalue) -> dict:
+    """master's diagnostics; fock_tail is the top two Fock levels' peak population."""
+    return {"peak_photon": peak_photon, "trace_drift": trace_drift, "fock_tail": fock_tail,
+            "min_eigenvalue": min_eigenvalue, "unreliable": fock_tail > FOCK_TAIL_BOUND}
+
+
 def _master_rows(grid, jobs, drive, fock_dim: int) -> list[tuple[np.ndarray, dict]]:
     """(<c> trajectory, diagnostics) of each (alpha, state, params) job,
     from the density matrix propagated as one RK4 batch on `drive`, the
@@ -613,18 +624,11 @@ def _master_rows(grid, jobs, drive, fock_dim: int) -> list[tuple[np.ndarray, dic
         np.repeat(DensityMatrix.ground(space).matrix[None], len(jobs), axis=0),
         {"c": C, "n": C.conj().T @ C, "tail": top_two},
     )
-    out = []
-    for k in range(len(jobs)):
-        tail = float(np.max(records["tail"][k].real))
-        diags = {
-            "peak_photon": float(np.max(records["n"][k].real)),
-            "trace_drift": float(drift[k]),
-            "fock_tail": tail,
-            "min_eigenvalue": DensityMatrix(space, rho[k]).min_eigenvalue(),
-            "unreliable": tail > FOCK_TAIL_BOUND,
-        }
-        out.append((records["c"][k], diags))
-    return out
+    n_peak, tail_peak = (records[name].real.max(axis=1).tolist() for name in ("n", "tail"))
+    return [
+        (c, _master_diagnostics(n, d, tail, DensityMatrix(space, r).min_eigenvalue()))
+        for c, n, d, tail, r in zip(records["c"], n_peak, drift.tolist(), tail_peak, rho)
+    ]
 
 
 def _bare_cavity_field(params: DeviceParams, drive, grid) -> np.ndarray:
@@ -671,37 +675,34 @@ def _coherent_fock_tail(n_mean: float, fock_dim: int) -> float:
 def _bare_row(c_traj, backend: str, fock_dim: int) -> tuple[np.ndarray, dict]:
     """(c_traj, diagnostics) of a dipole-free job: the diagnostics of the
     exact state, a coherent cavity field and a charge left in its ground
-    state, under each backend's keys.  The Poisson tail grows with the
+    state.  meanfield: <s> = 0 and <z> = -1 throughout.  master: no trace
+    drift, a zero eigenvalue, and the Poisson tail, which grows with the
     photon number below the truncation, so its peak is at the peak field."""
     peak_photon = float(np.max(np.abs(c_traj) ** 2))
     if backend == "meanfield":
-        diags = {"max_sigma_abs": 0.0, "peak_excitation": 0.0, "unreliable": False}
-    else:
-        tail = _coherent_fock_tail(peak_photon, fock_dim)
-        diags = {"trace_drift": 0.0, "fock_tail": tail, "min_eigenvalue": 0.0,
-                 "unreliable": tail > FOCK_TAIL_BOUND}
-    return c_traj, {"peak_photon": peak_photon, **diags}
+        return c_traj, _meanfield_diagnostics(peak_photon, 0.0, -1.0)
+    return c_traj, _master_diagnostics(peak_photon, 0.0, _coherent_fock_tail(peak_photon, fock_dim), 0.0)
 
 
-def _reflect_batch(f_in: Pulse, jobs, backend: str, fock_dim: int = 16) -> list[ReflectionResult]:
+def _reflect_batch(f_in: Pulse, jobs, backend: str, fock_dim=DEFAULT_FOCK_DIM) -> list[ReflectionResult]:
     """meanfield or master reflection of each (alpha, state, params) job.
 
     A job whose state couples no dipole (g_eff = 0) meets a bare, exactly
     linear cavity.  It takes _bare_cavity_field, evaluated once at unit
     amplitude and scaled by its alpha, and never enters the RK4 batch;
     the other jobs are integrated as one batch.  Both use the same
-    upsampled drive.  The master sizing check covers every job.
+    upsampled drive.  The amplitude rule and master sizing check cover every job.
     """
     if not f_in.is_normalized():
         raise ValueError("input pulse must be normalized")
     for a, _, q in jobs:
+        _check_amplitude(a)
         if backend == "master":
             need = required_fock_dim(a, f_in, q.kappa)
             if fock_dim < need:
                 raise ValueError(
                     f"fock_dim {fock_dim} below sizing heuristic {need:.1f} for |alpha|={abs(a):.3g}"
                 )
-    p = _shared_params(jobs)
     drive = _upsample(f_in.envelope)
     bare = [st.g_eff(q.g_coupling) == 0 for _, st, q in jobs]
     coupled = [job for job, is_bare in zip(jobs, bare) if not is_bare]
@@ -716,7 +717,7 @@ def _reflect_batch(f_in: Pulse, jobs, backend: str, fock_dim: int = 16) -> list[
         else:
             rows = _master_rows(f_in.grid, coupled, drive, fock_dim)
     if any(bare):
-        c_unit = _bare_cavity_field(p, drive, f_in.grid)
+        c_unit = _bare_cavity_field(_shared_params(jobs), drive, f_in.grid)
     del drive       # free before the decompositions, which allocate per job
     rows = iter(rows)
     out = []
@@ -732,7 +733,7 @@ def reflect_master(
     alpha: complex,
     state: JointState,
     params: DeviceParams,
-    fock_dim: int = 16,
+    fock_dim: int = DEFAULT_FOCK_DIM,
 ) -> ReflectionResult:
     """Density-matrix reflection; the reference backend at small alpha.
 
@@ -742,7 +743,6 @@ def reflect_master(
     trace drift and minimum eigenvalue, and as fock_tail the Poisson
     population of the top two Fock levels at the peak |<c>|^2.
     """
-    _check_amplitude(alpha)
     return _reflect_batch(f_in, [(alpha, state, params)], "master", fock_dim)[0]
 
 
@@ -755,6 +755,7 @@ def _analytic_result(
     picture treats the steady-state amplitude as the whole story, which
     is exactly what the closed-form gate fidelity assumes.
     """
+    _check_amplitude(alpha)
     xi = xi_analytic(state, params.g_coupling, params.kappa, params.t1)
     sign = 1.0 if xi >= 0 else -1.0
     return ReflectionResult(
@@ -774,7 +775,7 @@ _RUN_LABELS = ("00", "01", "11")     # 10 mirrors 01
 
 
 def scatter_batch(
-    f_in: Pulse, points, backend: str, fock_dim: int = 16
+    f_in: Pulse, points, backend: str, fock_dim: int = DEFAULT_FOCK_DIM
 ) -> list[dict[str, ReflectionResult]]:
     """scatter_all_states at each (alpha, params) point.
 
@@ -782,20 +783,15 @@ def scatter_batch(
     point as one RK4 batch, so the points must share kappa, t1 and
     detuning.  State 11 couples no dipole: its cavity is bare and
     linear, and one exact recurrence serves it at every point (see
-    _reflect_batch).  Every backend takes the same amplitudes: finite and
-    nonzero.
+    _reflect_batch).  Every backend applies _check_amplitude to each job.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    for a, _ in points:
-        _check_amplitude(a)
     jobs = [(a, joint_state(lab), p) for a, p in points for lab in _RUN_LABELS]
     if backend == "analytic":
         flat = [_analytic_result(f_in, a, st, p) for a, st, p in jobs]
     elif backend == "filter":
         flat = [reflect_filter_pulse(f_in, st, p, alpha=a) for a, st, p in jobs]
-    elif not jobs:
-        flat = []
     else:
         flat = _reflect_batch(f_in, jobs, backend, fock_dim)
     out = []
@@ -811,7 +807,7 @@ def scatter_all_states(
     alpha: complex,
     params: DeviceParams,
     backend: str = "filter",
-    fock_dim: int = 16,
+    fock_dim: int = DEFAULT_FOCK_DIM,
 ) -> dict[str, ReflectionResult]:
     """Run one backend for all four joint states; 01 and 10 share a run."""
     return scatter_batch(f_in, [(alpha, params)], backend, fock_dim)[0]

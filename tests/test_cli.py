@@ -9,13 +9,15 @@ import pytest
 
 from resgate.cli import (
     FIDELITY_COLUMNS,
+    MAX_FOCK_DIM,
     MAX_GRID_SAMPLES,
     MAX_LEVELS_POINTS,
     MAX_SWEEP_POINTS,
+    _write_rows,
     load_config,
     main,
 )
-from resgate.errors import ConfigError
+from resgate.errors import ConfigError, NumericsError
 from resgate.gate import sweep_photon_number
 from resgate.svgplot import line_chart
 
@@ -103,6 +105,7 @@ def test_config_error_cases(tmp_path):
         ("samples = 0", f"samples = {MAX_GRID_SAMPLES + 1}", str(MAX_GRID_SAMPLES + 1)),
         ("points = 0:22:23", f"points = 0:22:{MAX_SWEEP_POINTS + 1}", str(MAX_SWEEP_POINTS + 1)),
         ("points = 201", f"points = {MAX_LEVELS_POINTS + 1}", str(MAX_LEVELS_POINTS + 1)),
+        ("fock_dim = 16", f"fock_dim = {MAX_FOCK_DIM + 1}", str(MAX_FOCK_DIM + 1)),
         # and an explicit grid too small to build; samples = 1 used to
         # divide by zero in default_grid
         ("samples = 0", "samples = 1", "samples = 1"),
@@ -112,6 +115,50 @@ def test_config_error_cases(tmp_path):
         big.write_text(DEFAULT_CFG.read_text().replace(old, new))
         with pytest.raises(ConfigError, match=match):
             load_config(big)
+
+
+@pytest.mark.parametrize("command, old, new, code", [
+    # underflow to zero in a division: the geometry and spin estimates
+    ("regime", "length_m = 0.03", "length_m = 1e-320", 3),
+    ("regime", "impedance_ohm = 50", "impedance_ohm = 1e-320", 3),
+    ("regime", "coupling_ratio = 0.2", "coupling_ratio = 1e-320", 3),
+    ("regime", "g_factor = -13", "g_factor = 1e-320", 3),
+    ("regime", "gradient_field_mT = 0.21868", "gradient_field_mT = 1e-320", 3),
+    # a pulse so long that its width squared overflows
+    ("reflect", "kappa_over_2pi_MHz = 100", "kappa_over_2pi_MHz = 1e-300", 3),
+    ("fidelity", "kappa_over_2pi_MHz = 100", "kappa_over_2pi_MHz = 1e-300", 3),
+    # amplitudes whose |alpha|^2 is zero or past the largest float
+    ("reflect", "alpha = 20", "alpha = 1e-320", 2),
+    ("reflect", "alpha = 20", "alpha = 1e300", 2),
+    ("reflect", "alpha = 20", "alpha = -1e300", 2),
+    ("fidelity", "points = 0:22:23", "points = 0:1e308:3", 2),
+    # a bias range that overflows: NaN rows used to be written with exit 0
+    ("levels", "tunneling_over_2pi_MHz = 5000", "tunneling_over_2pi_MHz = 1e300", 3),
+    ("levels", "delta_max_over_T = 50", "delta_max_over_T = 1e300", 3),
+    # a Fock space past the cap, refused before master allocates it
+    ("reflect", "fock_dim = 16", f"fock_dim = {MAX_FOCK_DIM + 1}", 2),
+])
+def test_failures_exit_with_one_line(tmp_path, capsys, command, old, new, code):
+    # every failure exits 2 or 3 with one stderr line, no traceback, and
+    # no output file
+    cfg = tmp_path / "case.cfg"
+    text = DEFAULT_CFG.read_text()
+    assert old in text
+    cfg.write_text(text.replace(old, new).replace("samples = 0", "samples = 9"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    prefix = "config error: " if code == 2 else "numerical failure: "
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_csv_writer_refuses_non_finite_values(tmp_path):
+    # the check runs before the file is opened: no partial CSV is left
+    path = tmp_path / "rows.csv"
+    with pytest.raises(NumericsError, match="non-finite"):
+        _write_rows(path, ["a", "b"], [[1.0, 2.0], [3.0, float("nan")]])
+    assert not path.exists()
 
 
 def test_missing_config_exit_code(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import brute_force_gate_fidelity, coherent_overlap_gate_fidelity
+from resgate import gate
 from resgate.errors import NumericsError
 from resgate.gate import (
     GateInputs,
@@ -14,7 +15,7 @@ from resgate.gate import (
     sweep_coupling_variation,
     sweep_photon_number,
 )
-from resgate.scattering import ReflectionResult, joint_state, scatter_all_states, xi_analytic
+from resgate.scattering import STATE_LABELS, ReflectionResult, joint_state, scatter_all_states, xi_analytic
 
 
 def _ideal_results(alpha, f_out):
@@ -152,6 +153,24 @@ def test_photon_sweep_shares_linear_scatter(ref):
     # the shortcut keeps scatter_batch's amplitude rule
     with pytest.raises(ValueError, match="finite and nonzero"):
         sweep_photon_number(ref, [np.nan], backend="filter")
+
+
+def test_photon_sweep_records_match_direct_scatter(ref, monkeypatch):
+    # the linear shortcut rescales its alpha = 1 records to each amplitude;
+    # no diagnostic may keep its alpha = 1 value (the filter's peak field
+    # read 1.69e8 at alpha = 3, where a direct scatter gives 1.52e9)
+    seen = {}
+    point = gate._point
+
+    def spy(x_value, alpha, results):
+        seen[alpha] = results
+        return point(x_value, alpha, results)
+
+    monkeypatch.setattr(gate, "_point", spy)
+    sweep_photon_number(ref, [3.0], backend="filter")
+    direct = scatter_all_states(gate._default_pulse(ref, None, None), 3.0, ref, backend="filter")
+    for lab in STATE_LABELS:
+        assert seen[3.0][lab].diagnostics == direct[lab].diagnostics, lab
 
 
 def test_coupling_sweep_consistent_with_photon_sweep(ref):

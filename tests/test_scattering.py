@@ -15,6 +15,7 @@ from resgate.scattering import (
     FOCK_TAIL_BOUND,
     MEANFIELD_EXCITATION_BOUND,
     STATE_LABELS,
+    _analytic_result,
     _bare_cavity_field,
     _decompose,
     _evolve_master_batch,
@@ -177,12 +178,15 @@ def test_meanfield_saturates_with_amplitude(meanfield_ref_runs):
 
 
 def test_meanfield_rejects_zero_amplitude(ref, ref_pulse):
-    with pytest.raises(ValueError):
-        reflect_meanfield(ref_pulse, 0.0, joint_state("01"), ref)
-    # master shares the check (it used to divide by zero in _decompose),
-    # and a dipole-free job is checked though it is never integrated
-    with pytest.raises(ValueError, match="nonzero"):
-        reflect_master(ref_pulse, 0.0, joint_state("11"), ref, fock_dim=4)
+    # |alpha|^2 must be finite and nonzero: 1e-320 squares to 0, 1e300 past
+    # the largest float (both used to fail in _decompose's division)
+    for alpha in (0.0, 1e-320, 1e300):
+        with pytest.raises(ValueError):
+            reflect_meanfield(ref_pulse, alpha, joint_state("01"), ref)
+        # master shares the check (it used to divide by zero in _decompose),
+        # and a dipole-free job is checked though it is never integrated
+        with pytest.raises(ValueError, match="nonzero"):
+            reflect_master(ref_pulse, alpha, joint_state("11"), ref, fock_dim=4)
 
 
 def test_meanfield_diagnostics(ref_pulse, meanfield_ref_runs):
@@ -572,10 +576,17 @@ def test_scatter_rejects_unknown_backend(ref, ref_pulse):
         scatter_all_states(ref_pulse, 0.5, ref, backend="exact")
 
 
-@pytest.mark.parametrize("alpha", [0.0, np.nan])
+@pytest.mark.parametrize("alpha", [0.0, np.nan, 1e-320, 1e300])
 @pytest.mark.parametrize("backend", ["analytic", "filter"])
 def test_linear_backends_share_the_amplitude_rule(ref, ref_pulse, backend, alpha):
     # the time-domain backends' rule holds for the linear ones: filter's
     # decomposition divides by |alpha|^2, an analytic record's phase by alpha
     with pytest.raises(ValueError, match="finite and nonzero"):
         scatter_all_states(ref_pulse, alpha, ref, backend=backend)
+    # and each single-state kernel applies it itself (the public filter used
+    # to raise ZeroDivisionError, NumericsError or OverflowError)
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        if backend == "filter":
+            reflect_filter_pulse(ref_pulse, joint_state("01"), ref, alpha=alpha)
+        else:
+            _analytic_result(ref_pulse, alpha, joint_state("01"), ref)
