@@ -122,27 +122,26 @@ def _parse_points(text: str, section: str) -> list[float]:
     text = text.strip()
     try:
         if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
+            start, stop, n = text.split(":")        # a ValueError unless three parts
+            values, count = [float(start), float(stop)], int(n)
+            if count < 1:
                 raise ValueError
-            a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-            if n < 1:
-                raise ValueError
-            values = [a, b]
         else:
             values = [float(x) for x in text.split(",") if x.strip()]
+            count = len(values)
     except ValueError:
         raise ConfigError(
             f"[{section}] points = {text!r}: expected 'start:stop:count' or a comma list"
         ) from None
     if not all(math.isfinite(x) for x in values):
         raise ConfigError(f"[{section}] points = {text!r}: values must be finite")
-    count = n if ":" in text else len(values)
     if count > MAX_SWEEP_POINTS:
         raise ConfigError(f"[{section}] points: {count} points, more than {MAX_SWEEP_POINTS}")
-    if ":" in text:
-        return [float(x) for x in np.linspace(a, b, n)]
-    return values
+    if ":" not in text:
+        return values
+    if not math.isfinite(values[1] - values[0]):
+        raise ConfigError(f"[{section}] points = {text!r}: stop - start is not finite")
+    return [float(x) for x in np.linspace(*values, count)]
 
 
 def _check_config_amplitude(alpha: complex, key: str) -> None:
@@ -314,13 +313,18 @@ def cmd_levels(cfg: RunConfig, plot: bool) -> int:
     return 0
 
 
-def _run_backend(cfg: RunConfig, fn, *args, **kwargs):
-    """fn(*args, **kwargs) on the configured backend and Fock size; a
-    failure is reported as a numerics failure of that backend."""
+def _named(name: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs); a failure, a floating-point fault included, is
+    reported as a numerics failure of `name`."""
     try:
-        return fn(*args, backend=cfg.backend, fock_dim=cfg.fock_dim, **kwargs)
-    except (NumericsError, ValueError) as exc:
-        raise NumericsError(f"backend {cfg.backend}: {exc}") from exc
+        return fn(*args, **kwargs)
+    except (NumericsError, ValueError, ArithmeticError) as exc:
+        raise NumericsError(f"{name}: {exc}") from exc
+
+
+def _run_backend(cfg: RunConfig, fn, *args, **kwargs):
+    """fn(*args, **kwargs) on the configured backend and Fock size, named after the backend."""
+    return _named(f"backend {cfg.backend}", fn, *args, backend=cfg.backend, fock_dim=cfg.fock_dim, **kwargs)
 
 
 def cmd_reflect(cfg: RunConfig, plot: bool) -> int:
@@ -419,6 +423,9 @@ def cmd_fidelity(cfg: RunConfig, plot: bool) -> int:
 def cmd_regime(cfg: RunConfig, plot: bool) -> int:
     d = cfg.device
     two_pi = 2 * math.pi
+    # ahead of validate_regime, which evaluates it too, so that its fault is named
+    if d.circuit is not None:
+        w0 = _named("resonator fundamental", resonator_fundamental, d.circuit)
     print("operating-regime report")
     print(
         f"  configured: g/2pi = {d.g_coupling / two_pi / 1e6:.6g} MHz, "
@@ -437,13 +444,13 @@ def cmd_regime(cfg: RunConfig, plot: bool) -> int:
     gap = energy_gap(d.delta, d.tunneling)
     print(f"  charge gap/2pi = {gap / two_pi / 1e9:.6g} GHz")
     if d.circuit is not None:
-        w0 = resonator_fundamental(d.circuit)
         g_formula = coupling_g(d.circuit, mixing_angle(d.delta, d.tunneling))
+        ratio = _named("coupling from circuit geometry", lambda: d.g_coupling / g_formula)
         print(f"  resonator fundamental/2pi = {w0 / two_pi / 1e9:.6g} GHz")
         print(
             f"  coupling from circuit geometry/2pi = {g_formula / two_pi / 1e6:.6g} MHz "
             f"(configured {d.g_coupling / two_pi / 1e6:.6g} MHz, "
-            f"ratio {d.g_coupling / g_formula:.3g})"
+            f"ratio {ratio:.3g})"
         )
     else:
         print("  coupling from circuit geometry: skipped (no [circuit] section)")
@@ -454,7 +461,8 @@ def cmd_regime(cfg: RunConfig, plot: bool) -> int:
     else:
         print("  charge dephasing estimate: skipped (tb_ns not set)")
     if d.zeeman is not None and cfg.gradient_field:
-        t2s = spin_dephasing_estimate(d.zeeman.g_factor, cfg.gradient_field)
+        t2s = _named("spin dephasing estimate", spin_dephasing_estimate,
+                     d.zeeman.g_factor, cfg.gradient_field)
         print(
             f"  spin dephasing estimate T2* = {t2s * 1e9:.4g} ns "
             f"(gradient {cfg.gradient_field * 1e3:.4g} mT)"

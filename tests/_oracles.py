@@ -5,6 +5,8 @@ than the package: exact factorial sums instead of the closed-form
 fidelity expression, adaptive continuous-frequency quadrature instead of
 the FFT grid, closed-form Gaussian integrals instead of trapezoids.
 Expected values frozen into the tests came from these routines.
+master_run is the exception: it is the tests' single-state entry into
+the package's own master kernel.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from resgate.qmath import DensityMatrix
+from resgate.scattering import _evolve_master_batch, _upsample
 
 # ---------------------------------------------------------------------------
 # truncated-Fock gate fidelity
@@ -182,6 +187,19 @@ def dense_lindblad_evolve(
             rho = rho + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         record[k] = np.trace(rho @ record_op)
     return record, rho
+
+
+def master_run(space, g_eff, params, grid, beta, rho0, ops=None):
+    """({name: tr(rho op) on the grid}, final DensityMatrix, trace drift) of
+    rho0 under _evolve_master_batch as a batch of one: beta, sampled on
+    the grid, upsampled as the reflection upsamples its envelope, at scale
+    1, recording <c> and each of `ops`.  No input checks: rho0 must be
+    Hermitian (see _evolve_master_batch)."""
+    records, rho, drift = _evolve_master_batch(
+        space, np.array([g_eff]), params, grid, _upsample(np.asarray(beta, dtype=complex)),
+        np.ones(1), rho0.matrix[None], {"c": space.cavity_op(), **(ops or {})},
+    )
+    return {name: rec[0] for name, rec in records.items()}, DensityMatrix(space, rho[0]), float(drift[0])
 
 
 # ---------------------------------------------------------------------------

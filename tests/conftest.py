@@ -5,10 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from _oracles import master_run
 from resgate.device import reference_device
 from resgate.pulse import TimeGrid, default_grid, gaussian_pulse
 from resgate.qmath import DensityMatrix, HilbertSpace
-from resgate.scattering import evolve_master, scatter_all_states, scatter_batch
+from resgate.scattering import scatter_all_states, scatter_batch
 
 
 @pytest.fixture(scope="session")
@@ -46,27 +47,25 @@ def master_hygiene():
     return []
 
 
+def _decay_run(ref, master_hygiene, label, space, grid, vec, name, op):
+    # no dipole, no drive: (grid times, Re tr(rho op) on the grid)
+    records, rho, drift = master_run(
+        space, 0.0, ref, grid, np.zeros(grid.n_samples), DensityMatrix(space, np.outer(vec, vec.conj())),
+        {name: op},
+    )
+    master_hygiene.append((label, drift, rho.min_eigenvalue(), rho.fock_tail()))
+    return grid.times(), records[name].real
+
+
 @pytest.fixture(scope="session")
 def photon_decay_run(ref, master_hygiene):
-    # one photon, no dipole, no drive: <n> must follow exp(-kappa t)
+    # one photon: <n> must follow exp(-kappa t)
     space = HilbertSpace(16)
     grid = TimeGrid(0.0, 5.0 / ref.kappa / 256, 257)
     vec = np.zeros(space.dim)
     vec[1] = 1.0
     n_op = space.cavity_op().conj().T @ space.cavity_op()
-    run = evolve_master(
-        space,
-        0.0,
-        ref,
-        grid,
-        np.zeros(grid.n_samples, dtype=complex),
-        DensityMatrix(space, np.outer(vec, vec.conj())),
-        record_ops={"n": n_op},
-    )
-    master_hygiene.append(
-        ("photon_decay", run.trace_drift, run.final_state.min_eigenvalue(), run.final_state.fock_tail())
-    )
-    return run
+    return _decay_run(ref, master_hygiene, "photon_decay", space, grid, vec, "n", n_op)
 
 
 @pytest.fixture(scope="session")
@@ -81,19 +80,7 @@ def charge_decay_run(ref, master_hygiene):
     pa = np.zeros((space.dim, space.dim), dtype=complex)
     for k in range(space.fock_dim):
         pa[space.fock_dim + k, space.fock_dim + k] = 1.0
-    run = evolve_master(
-        space,
-        0.0,
-        ref,
-        grid,
-        np.zeros(grid.n_samples, dtype=complex),
-        DensityMatrix(space, np.outer(vec, vec.conj())),
-        record_ops={"pa": pa},
-    )
-    master_hygiene.append(
-        ("charge_decay", run.trace_drift, run.final_state.min_eigenvalue(), run.final_state.fock_tail())
-    )
-    return run
+    return _decay_run(ref, master_hygiene, "charge_decay", space, grid, vec, "pa", pa)
 
 
 @pytest.fixture(scope="session")
@@ -124,7 +111,7 @@ def master_in_range_runs(ref, ref_pulse, master_hygiene):
 
 @pytest.fixture(scope="session")
 def bare_lab_frame_runs(ref, ref_pulse, master_hygiene):
-    """(alpha, fock_dim, {detuning / kappa: MasterRun}): the density matrix
+    """(alpha, fock_dim, {detuning / kappa: records}): the density matrix
     of the dipole-free cavity (g_eff = 0) driven by alpha times the
     reference pulse, propagated in the lab frame at detunings 0 and
     0.3 kappa, recording <c> and the population of the top two Fock
@@ -135,19 +122,17 @@ def bare_lab_frame_runs(ref, ref_pulse, master_hygiene):
     top_two = np.diag((np.arange(space.dim) % fock_dim >= fock_dim - 2).astype(complex))
     runs = {}
     for det in (0.0, 0.3):
-        run = evolve_master(
+        records, rho, drift = master_run(
             space,
             0.0,
             dataclasses.replace(ref, detuning=det * ref.kappa),
             ref_pulse.grid,
             alpha * ref_pulse.envelope,
             DensityMatrix.ground(space),
-            record_ops={"tail": top_two},
+            {"tail": top_two},
         )
-        master_hygiene.append(
-            (f"bare_lab_frame_{det}", run.trace_drift, run.final_state.min_eigenvalue(), run.final_state.fock_tail())
-        )
-        runs[det] = run
+        master_hygiene.append((f"bare_lab_frame_{det}", drift, rho.min_eigenvalue(), rho.fock_tail()))
+        runs[det] = records
     return alpha, fock_dim, runs
 
 

@@ -78,12 +78,10 @@ def test_criterion_01_zero_frequency_identities(ref, acceptance_report):
 
 def test_criterion_02_exact_decay_laws(ref, photon_decay_run, charge_decay_run, acceptance_report):
     t0 = time.perf_counter()
-    t = photon_decay_run.times
-    n_traj = photon_decay_run.expectations["n"].real
+    t, n_traj = photon_decay_run
     rel_n = float(np.max(np.abs(n_traj - np.exp(-ref.kappa * t)) / np.exp(-ref.kappa * t)))
 
-    t2 = charge_decay_run.times
-    pa = charge_decay_run.expectations["pa"].real
+    t2, pa = charge_decay_run
     rel_p = float(np.max(np.abs(pa - np.exp(-t2 / ref.t1)) / np.exp(-t2 / ref.t1)))
 
     ok = rel_n < 1e-6 and rel_p < 1e-6

@@ -117,6 +117,18 @@ def test_config_error_cases(tmp_path):
             load_config(big)
 
 
+# how the stderr line goes on after its prefix, for the rows that say
+_MESSAGES = {
+    "length_m = 1e-320": "resonator fundamental: ",
+    "impedance_ohm = 1e-320": "resonator fundamental: ",
+    "coupling_ratio = 1e-320": "coupling from circuit geometry: ",
+    "g_factor = 1e-320": "spin dephasing estimate: ",
+    "gradient_field_mT = 1e-320": "spin dephasing estimate: ",
+    "points = -1e308:1e308:3": "[sweep] points = ",
+    "relaxation_rate_over_2pi_MHz = 1e-320": "[device] t1 ",
+}
+
+
 @pytest.mark.parametrize("command, old, new, code", [
     # underflow to zero in a division: the geometry and spin estimates
     ("regime", "length_m = 0.03", "length_m = 1e-320", 3),
@@ -132,6 +144,11 @@ def test_config_error_cases(tmp_path):
     ("reflect", "alpha = 20", "alpha = 1e300", 2),
     ("reflect", "alpha = 20", "alpha = -1e300", 2),
     ("fidelity", "points = 0:22:23", "points = 0:1e308:3", 2),
+    # a sweep range whose span overflows (it used to exit 3 from linspace)
+    ("fidelity", "points = 0:22:23", "points = -1e308:1e308:3", 2),
+    # a T1 that overflows to inf (s = inf used to pass the regime checks)
+    ("reflect", "relaxation_rate_over_2pi_MHz = 1", "relaxation_rate_over_2pi_MHz = 1e-320", 2),
+    ("regime", "relaxation_rate_over_2pi_MHz = 1", "relaxation_rate_over_2pi_MHz = 1e-320", 2),
     # a bias range that overflows: NaN rows used to be written with exit 0
     ("levels", "tunneling_over_2pi_MHz = 5000", "tunneling_over_2pi_MHz = 1e300", 3),
     ("levels", "delta_max_over_T = 50", "delta_max_over_T = 1e300", 3),
@@ -149,7 +166,7 @@ def test_failures_exit_with_one_line(tmp_path, capsys, command, old, new, code):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == code
     err = capsys.readouterr().err
     prefix = "config error: " if code == 2 else "numerical failure: "
-    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert err.startswith(prefix + _MESSAGES.get(new, "")) and err.count("\n") == 1, err
     assert not out.exists()
 
 

@@ -151,4 +151,6 @@ def test_device_params_validation(ref):
     with pytest.raises(ValueError):
         dataclasses.replace(ref, t1=-1.0)
     with pytest.raises(ValueError):
+        dataclasses.replace(ref, t1=math.inf)
+    with pytest.raises(ValueError):
         dataclasses.replace(ref, g_coupling=-1.0)

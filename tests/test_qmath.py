@@ -7,7 +7,6 @@ from resgate.qmath import (
     DensityMatrix,
     HilbertSpace,
     annihilation_op,
-    hermiticity_error,
     sigma_minus,
 )
 
@@ -59,13 +58,6 @@ def test_fock_tail_counts_top_levels():
     space = HilbertSpace(5)
     rho = DensityMatrix(space, np.diag(2.0 ** np.arange(space.dim)))
     assert rho.fock_tail() == 2.0**3 + 2.0**4 + 2.0**8 + 2.0**9
-
-
-def test_hermiticity_error():
-    m = np.array([[1.0, 2.0 + 1j], [2.0 - 1j, 3.0]])
-    assert hermiticity_error(m) == 0.0
-    m[0, 1] += 1e-3
-    assert hermiticity_error(m) > 1e-4
 
 
 def test_ground_state():

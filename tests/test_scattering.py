@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import dense_lindblad_evolve, filter_state_metrics, meanfield_reference_rows, rk4_reference
+from _oracles import (
+    dense_lindblad_evolve, filter_state_metrics, master_run, meanfield_reference_rows, rk4_reference,
+)
 from resgate import scattering
 from resgate.errors import NumericsError
 from resgate.pulse import TimeGrid, default_grid, gaussian_pulse
@@ -22,7 +24,6 @@ from resgate.scattering import (
     _meanfield_rows,
     _rk4,
     _upsample,
-    evolve_master,
     joint_state,
     reflect_filter_pulse,
     reflect_master,
@@ -259,7 +260,7 @@ def test_bare_cavity_recurrence_matches_rk4(ref, ref_pulse, bare_lab_frame_runs,
         p = dataclasses.replace(ref, detuning=det * ref.kappa)
         ms = reflect_master(ref_pulse, alpha, st, p, fock_dim=fock_dim)
         c = ms.diagnostics["c_trajectory"]
-        want = lab_run.expectations["c"]
+        want = lab_run["c"]
         assert np.abs(c - want).max() <= 1e-13 * np.abs(want).max(), det
         # a complex amplitude: the recurrence runs at unit amplitude and is scaled
         a_c = alpha * (0.6 - 0.8j)
@@ -274,7 +275,7 @@ def test_bare_cavity_recurrence_matches_rk4(ref, ref_pulse, bare_lab_frame_runs,
         assert ms.diagnostics.keys() == master_half_runs["00"].diagnostics.keys()
         d = ms.diagnostics
         assert d["trace_drift"] == 0 and d["min_eigenvalue"] == 0 and not d["unreliable"]
-        assert d["peak_photon"] == pytest.approx(np.max(np.abs(lab_run.expectations["c"]) ** 2), rel=1e-12)
+        assert d["peak_photon"] == pytest.approx(np.max(np.abs(lab_run["c"]) ** 2), rel=1e-12)
         # the Poisson tail of the coherent state at its peak field, against
         # the peak over the run of the same population of the lab-frame
         # density matrix; they differ by the truncation of the top level,
@@ -282,7 +283,7 @@ def test_bare_cavity_recurrence_matches_rk4(ref, ref_pulse, bare_lab_frame_runs,
         n_peak = np.max(np.abs(c) ** 2)
         poisson = sum(math.exp(-n_peak) * n_peak**k / math.factorial(k) for k in (fock_dim - 2, fock_dim - 1))
         assert d["fock_tail"] == pytest.approx(poisson, rel=1e-12, abs=0)
-        assert d["fock_tail"] == pytest.approx(lab_run.expectations["tail"].real.max(), rel=1e-5, abs=0)
+        assert d["fock_tail"] == pytest.approx(lab_run["tail"].real.max(), rel=1e-5, abs=0)
 
 
 def test_master_flags_fock_tail_at_its_peak(ref, ref_pulse):
@@ -293,14 +294,14 @@ def test_master_flags_fock_tail_at_its_peak(ref, ref_pulse):
     st = joint_state("01")
     space = HilbertSpace(4)
     top_two = np.diag((np.arange(space.dim) % 4 >= 2).astype(complex))
-    run = evolve_master(
+    records, rho, _ = master_run(
         space, st.g_eff(ref.g_coupling), ref, ref_pulse.grid, 0.5 * ref_pulse.envelope,
-        DensityMatrix.ground(space), record_ops={"tail": top_two},
+        DensityMatrix.ground(space), {"tail": top_two},
     )
     d = reflect_master(ref_pulse, 0.5, st, ref, fock_dim=4).diagnostics
-    assert d["fock_tail"] == pytest.approx(run.expectations["tail"].real.max(), rel=1e-12)
+    assert d["fock_tail"] == pytest.approx(records["tail"].real.max(), rel=1e-12)
     assert d["fock_tail"] > 10 * FOCK_TAIL_BOUND and d["unreliable"]
-    assert run.final_state.fock_tail() < 1e-20
+    assert rho.fock_tail() < 1e-20
 
 
 def test_bare_cavity_recurrence_follows_substeps(ref, ref_pulse, monkeypatch):
@@ -411,24 +412,6 @@ def test_master_linear_state_matches_filter(ref, ref_pulse, master_half_runs):
     assert d < 1e-6
 
 
-def test_evolve_master_validates_inputs(ref):
-    space = HilbertSpace(4)
-    grid = TimeGrid(0.0, 1e-10, 16)
-    rho0 = DensityMatrix.ground(space)
-    with pytest.raises(ValueError):
-        evolve_master(space, 0.0, ref, grid, np.zeros(5, complex), rho0)
-    with pytest.raises(ValueError):
-        evolve_master(
-            space, 0.0, ref, grid, np.zeros(16, complex), rho0,
-            record_ops={"bad": np.eye(3)},
-        )
-    # the rhs forms rho H^dagger as (H rho)^dagger, valid for Hermitian rho only
-    skew = rho0.matrix.copy()
-    skew[0, 1] = 1e-6
-    with pytest.raises(ValueError, match="Hermitian"):
-        evolve_master(space, 0.0, ref, grid, np.zeros(16, complex), DensityMatrix(space, skew))
-
-
 @pytest.mark.parametrize("fock_dim", [3, 5])
 def test_evolve_master_matches_dense_lindblad(ref, fock_dim):
     # the rhs writes the jumps as index shifts on the (charge, Fock) view
@@ -456,18 +439,16 @@ def test_evolve_master_matches_dense_lindblad(ref, fock_dim):
     vec /= np.linalg.norm(vec)
     rho0 = DensityMatrix(space, np.outer(vec, vec.conj()))
     c = space.cavity_op()
-    run = evolve_master(
-        space, g_eff, p, grid, np.array([beta(t) for t in grid.times()]), rho0
-    )
+    records, rho, _ = master_run(space, g_eff, p, grid, np.array([beta(t) for t in grid.times()]), rho0)
     want_c, want_rho = dense_lindblad_evolve(
         fock_dim, g_eff, p.kappa, p.t1, p.detuning, beta, rho0.matrix,
         grid.t_start, grid.dt, n, c,
     )
     np.testing.assert_allclose(
-        run.expectations["c"], want_c, rtol=1e-12, atol=1e-12 * np.abs(want_c).max()
+        records["c"], want_c, rtol=1e-12, atol=1e-12 * np.abs(want_c).max()
     )
     np.testing.assert_allclose(
-        run.final_state.matrix, want_rho, rtol=1e-12, atol=1e-12 * np.abs(want_rho).max()
+        rho.matrix, want_rho, rtol=1e-12, atol=1e-12 * np.abs(want_rho).max()
     )
 
 
@@ -521,12 +502,12 @@ def test_evolve_master_leaves_rho0_and_keeps_each_record(ref):
     grid = TimeGrid(0.0, 0.05 / ref.kappa, 33)
     rho0 = DensityMatrix.ground(space)
     before = rho0.matrix.copy()
-    run = evolve_master(
+    records, _, _ = master_run(
         space, joint_state("01").g_eff(ref.g_coupling), ref, grid,
         np.full(grid.n_samples, 0.3 * math.sqrt(ref.kappa), dtype=complex), rho0,
     )
     assert rho0.matrix.tobytes() == before.tobytes()
-    c = run.expectations["c"]
+    c = records["c"]
     assert np.all(c[1:] != c[:-1])
 
 
@@ -536,7 +517,7 @@ def test_evolve_master_nan_trace_raises(ref):
     space = HilbertSpace(6)
     grid = TimeGrid(0.0, 50.0 / ref.kappa, 16)
     with np.errstate(all="ignore"), pytest.raises(NumericsError, match="trace drifted by nan"):
-        evolve_master(
+        master_run(
             space, 1e9, ref, grid,
             np.full(grid.n_samples, 0.3 * math.sqrt(ref.kappa), dtype=complex),
             DensityMatrix.ground(space),
@@ -550,17 +531,6 @@ def test_decompose_rejects_non_finite_field(ref, ref_pulse, bad):
     g_out[g_out.size // 2] = bad
     with pytest.raises(NumericsError, match="not finite"):
         _decompose(ref_pulse, g_out, 0.5, joint_state("01"), ref, "master", {})
-
-
-def test_evolve_master_records_default_c(ref):
-    space = HilbertSpace(4)
-    grid = TimeGrid(0.0, 1e-11, 16)
-    run = evolve_master(
-        space, 0.0, ref, grid, np.zeros(16, complex), DensityMatrix.ground(space)
-    )
-    assert "c" in run.expectations
-    assert run.expectations["c"].shape == (16,)
-    assert run.trace_drift < 1e-9
 
 
 def test_scatter_all_states_reuses_symmetric_state(ref, ref_pulse):
