@@ -38,13 +38,14 @@ from .device import (
     validate_regime,
 )
 from .errors import ConfigError, NumericsError
-from .gate import _default_pulse, sweep_coupling_variation, sweep_photon_number
+from .gate import (_check_coupling_fraction, _default_pulse, sweep_coupling_variation,
+                   sweep_photon_number)
 from .pulse import MIN_GRID_SAMPLES, default_grid
 from .scattering import (BACKENDS, DEFAULT_FOCK_DIM, STATE_LABELS, _check_amplitude,
                          scatter_all_states, xi_effective)
 from .svgplot import save_chart
 
-_TWO_PI_MHZ = 2.0 * math.pi * 1e6
+_TWO_PI_MHZ = 2.0 * math.pi * 1e6      # f/2pi in MHz to rad/s
 
 # Size limits, checked in load_config before anything is allocated.  The
 # default grid has 2,817 samples; tau_over_kappa = 0.01 would ask for
@@ -89,126 +90,162 @@ class RunConfig:
     output_dir: Path
 
 
-def _get(cp: configparser.ConfigParser, section: str, key: str, default=None) -> str:
-    try:
-        return cp.get(section, key)
-    except (configparser.NoSectionError, configparser.NoOptionError):
-        if default is not None:
-            return default
-        raise ConfigError(f"[{section}] missing key '{key}'") from None
+# Readers: each turns the text of one value into the value, or raises
+# ValueError with the reason.
 
-
-def _get_float(cp, section, key, default=None) -> float:
-    raw = _get(cp, section, key, default)
+def _parse(kind, text: str, reason: str):
     try:
-        value = float(raw)
+        return kind(text)
     except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
-    return value
+        raise ValueError(reason) from None
 
 
-def _get_int(cp, section, key, default=None) -> int:
-    raw = _get(cp, section, key, default)
+def _within(reader, ok, reason: str):
+    """`reader`, refusing a value that fails ok(value) with `reason`."""
+    def read(text: str):
+        value = reader(text)
+        if not ok(value):
+            raise ValueError(reason)
+        return value
+    return read
+
+
+_real = _within(lambda text: _parse(float, text, "is not a number"), math.isfinite, "is not finite")
+_positive = _within(_real, lambda x: x > 0, "must be positive")
+_non_negative = _within(_real, lambda x: x >= 0, "must be >= 0")
+
+
+def _int_in(lo: int, hi: int, auto: bool = False):
+    """A reader of an int from lo to hi, or 0 (automatic) if `auto`."""
+    return _within(lambda text: _parse(int, text, "is not an integer"),
+                   lambda n: lo <= n <= hi or auto and n == 0,
+                   f"must be {'0 (automatic) or ' if auto else ''}{lo} to {hi}")
+
+
+def _word(*words: str):
+    """A reader of one of `words`."""
+    return _within(str, words.__contains__, f"must be one of {', '.join(words)}")
+
+
+def _points(text: str) -> list[float]:
+    """Sweep points: 'start:stop:count' or a comma list."""
+    ranged = ":" in text
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from None
-
-
-def _parse_points(text: str, section: str) -> list[float]:
-    """Either 'start:stop:count' or a comma-separated list."""
-    text = text.strip()
-    try:
-        if ":" in text:
+        if ranged:
             start, stop, n = text.split(":")        # a ValueError unless three parts
             values, count = [float(start), float(stop)], int(n)
-            if count < 1:
-                raise ValueError
         else:
             values = [float(x) for x in text.split(",") if x.strip()]
             count = len(values)
     except ValueError:
-        raise ConfigError(
-            f"[{section}] points = {text!r}: expected 'start:stop:count' or a comma list"
-        ) from None
-    if not all(math.isfinite(x) for x in values):
-        raise ConfigError(f"[{section}] points = {text!r}: values must be finite")
-    if count > MAX_SWEEP_POINTS:
-        raise ConfigError(f"[{section}] points: {count} points, more than {MAX_SWEEP_POINTS}")
-    if ":" not in text:
-        return values
-    if not math.isfinite(values[1] - values[0]):
-        raise ConfigError(f"[{section}] points = {text!r}: stop - start is not finite")
-    return [float(x) for x in np.linspace(*values, count)]
+        raise ValueError("must be 'start:stop:count' or a comma list") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError("has a value that is not finite")
+    if not 1 <= count <= MAX_SWEEP_POINTS:
+        raise ValueError(f"must be 1 to {MAX_SWEEP_POINTS} points, not {count}")
+    if ranged and not math.isfinite(values[1] - values[0]):
+        raise ValueError("has a span stop - start that is not finite")
+    return [float(x) for x in np.linspace(*values, count)] if ranged else values
 
 
-def _check_config_amplitude(alpha: complex, key: str) -> None:
-    """scattering's amplitude rule on the [sweep] key, as a config error."""
+# Every key the program reads, one row each: (section, key) -> (default
+# text, None if required; reader; factor to SI, None if not a quantity).
+# The readers hold only the rules no constructor checks: the physical
+# domains are DeviceParams', CircuitParams' and ZeemanParams'.
+CONFIG_TABLE = {
+    ("device", "delta_over_2pi_MHz"): (None, _real, _TWO_PI_MHZ),
+    ("device", "tunneling_over_2pi_MHz"): (None, _real, _TWO_PI_MHZ),
+    ("device", "g_over_2pi_MHz"): (None, _real, _TWO_PI_MHZ),
+    ("device", "kappa_over_2pi_MHz"): (None, _real, _TWO_PI_MHZ),
+    ("device", "detuning_over_2pi_MHz"): (None, _real, _TWO_PI_MHZ),
+    ("device", "relaxation_rate_over_2pi_MHz"): (None, _positive, _TWO_PI_MHZ),   # 1/T1
+    ("device", "tb_ns"): ("0", _real, 1e-9),
+    ("circuit", "length_m"): (None, _real, 1.0),
+    ("circuit", "cap_per_len_pF_per_m"): (None, _real, 1e-12),
+    ("circuit", "impedance_ohm"): (None, _real, 1.0),
+    ("circuit", "coupling_ratio"): (None, _real, 1.0),
+    ("zeeman", "g_factor"): (None, _real, 1.0),
+    ("zeeman", "b_field_T"): (None, _real, 1.0),
+    ("zeeman", "gradient_field_mT"): ("0", _non_negative, 1e-3),
+    ("pulse", "tau_over_kappa"): (None, _positive, 1.0),
+    ("pulse", "samples"): ("0", _int_in(MIN_GRID_SAMPLES, MAX_GRID_SAMPLES, auto=True), None),
+    ("sweep", "kind"): ("photon", _word("photon", "coupling"), None),
+    ("sweep", "points"): (None, _points, None),
+    ("sweep", "alpha"): ("1", _real, 1.0),
+    ("run", "backend"): ("filter", _word(*BACKENDS), None),
+    ("run", "fock_dim"): (str(DEFAULT_FOCK_DIM), _int_in(2, MAX_FOCK_DIM), None),
+    ("levels", "delta_max_over_T"): ("50", _positive, 1.0),
+    ("levels", "points"): ("201", _int_in(3, MAX_LEVELS_POINTS), None),
+}
+# a file may leave these out whole; if it has one, it has all its required keys
+_OPTIONAL_SECTIONS = ("circuit", "zeeman")
+
+
+def _as_config(where: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs); a ValueError is a config error of `where`."""
     try:
-        _check_amplitude(alpha)
+        return fn(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"[sweep] {key}: {exc}") from None
+        raise ConfigError(f"{where} {exc}") from None
+
+
+def _read_table(cp: configparser.ConfigParser) -> dict[tuple[str, str], object]:
+    """(section, key) -> value, in SI, of every row whose section is there."""
+    sections = {section for section, _ in CONFIG_TABLE}
+    for section in cp.sections():
+        if section not in sections:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cp[section]:
+            if (section, key) not in CONFIG_TABLE:
+                raise ConfigError(f"[{section}] unknown key '{key}'")
+    values = {}
+    for (section, key), (default, reader, unit) in CONFIG_TABLE.items():
+        if section in _OPTIONAL_SECTIONS and not cp.has_section(section):
+            continue
+        raw = cp.get(section, key, fallback=default)
+        if raw is None:
+            raise ConfigError(f"[{section}] missing key '{key}'")
+        shown = " ".join(raw.split())       # a value may span lines
+        value = _as_config(f"[{section}] {key} = {shown}", reader, raw)
+        values[section, key] = value if unit is None else value * unit
+    return values
 
 
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str        # keys carry unit suffixes with capitals
     try:
         cp.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    except configparser.Error as exc:       # its message may span lines
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from None
+    v = _read_table(cp)
 
-    rate = _get_float(cp, "device", "relaxation_rate_over_2pi_MHz")
-    if rate <= 0:
-        raise ConfigError("[device] relaxation_rate_over_2pi_MHz must be positive")
-
-    circuit = None
+    circuit = zeeman = gradient = None
     if cp.has_section("circuit"):
-        circuit = CircuitParams(
-            length_L=_get_float(cp, "circuit", "length_m"),
-            cap_per_len_C0=_get_float(cp, "circuit", "cap_per_len_pF_per_m") * 1e-12,
-            impedance_Z0=_get_float(cp, "circuit", "impedance_ohm"),
-            coupling_ratio_v=_get_float(cp, "circuit", "coupling_ratio"),
-        )
-
-    zeeman = None
-    gradient = None
+        circuit = _as_config("[circuit]", CircuitParams, v["circuit", "length_m"],
+                             v["circuit", "cap_per_len_pF_per_m"], v["circuit", "impedance_ohm"],
+                             v["circuit", "coupling_ratio"])
     if cp.has_section("zeeman"):
-        zeeman = ZeemanParams(
-            g_factor=_get_float(cp, "zeeman", "g_factor"),
-            b_field=_get_float(cp, "zeeman", "b_field_T"),
-        )
-        gradient = _get_float(cp, "zeeman", "gradient_field_mT", "0") * 1e-3
+        zeeman = _as_config("[zeeman]", ZeemanParams, v["zeeman", "g_factor"], v["zeeman", "b_field_T"])
+        gradient = v["zeeman", "gradient_field_mT"]
+    device = _as_config(
+        "[device]", DeviceParams,
+        delta=v["device", "delta_over_2pi_MHz"],
+        tunneling=v["device", "tunneling_over_2pi_MHz"],
+        g_coupling=v["device", "g_over_2pi_MHz"],
+        kappa=v["device", "kappa_over_2pi_MHz"],
+        detuning=v["device", "detuning_over_2pi_MHz"],
+        t1=1.0 / v["device", "relaxation_rate_over_2pi_MHz"],
+        tb=v["device", "tb_ns"],
+        circuit=circuit,
+        zeeman=zeeman,
+    )
 
-    try:
-        device = DeviceParams(
-            delta=_get_float(cp, "device", "delta_over_2pi_MHz") * _TWO_PI_MHZ,
-            tunneling=_get_float(cp, "device", "tunneling_over_2pi_MHz") * _TWO_PI_MHZ,
-            g_coupling=_get_float(cp, "device", "g_over_2pi_MHz") * _TWO_PI_MHZ,
-            kappa=_get_float(cp, "device", "kappa_over_2pi_MHz") * _TWO_PI_MHZ,
-            detuning=_get_float(cp, "device", "detuning_over_2pi_MHz") * _TWO_PI_MHZ,
-            t1=1.0 / (rate * _TWO_PI_MHZ),
-            tb=_get_float(cp, "device", "tb_ns", "0") * 1e-9,
-            circuit=circuit,
-            zeeman=zeeman,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[device] {exc}") from None
-
-    tau_k = _get_float(cp, "pulse", "tau_over_kappa")
-    if tau_k <= 0:
-        raise ConfigError("[pulse] tau_over_kappa must be positive")
-    samples = _get_int(cp, "pulse", "samples", "0")
-    if samples < 0 or 0 < samples < MIN_GRID_SAMPLES:
-        raise ConfigError(
-            f"[pulse] samples = {samples}: need 0 (automatic) or at least {MIN_GRID_SAMPLES}"
-        )
-    tau = tau_k / device.kappa
+    tau = v["pulse", "tau_over_kappa"] / device.kappa
+    samples = v["pulse", "samples"]
     try:        # default_grid only does arithmetic; it allocates nothing
         n_samples = samples or default_grid(tau, device.kappa).n_samples
     except OverflowError:
@@ -219,33 +256,14 @@ def load_config(path: str | Path) -> RunConfig:
             f"{MAX_GRID_SAMPLES}; raise tau_over_kappa or set samples"
         )
 
-    kind = _get(cp, "sweep", "kind", "photon").strip()
-    if kind not in ("photon", "coupling"):
-        raise ConfigError(f"[sweep] kind = {kind!r}: expected photon or coupling")
-    points = _parse_points(_get(cp, "sweep", "points"), "sweep")
-    alpha = _get_float(cp, "sweep", "alpha", "1")
+    kind, points, alpha = v["sweep", "kind"], v["sweep", "points"], v["sweep", "alpha"]
     if kind == "coupling":
-        _check_config_amplitude(alpha, "alpha")
+        _as_config("[sweep] alpha:", _check_amplitude, alpha)
         for x in points:
-            if not -1.0 < x <= 1.0:
-                raise ConfigError(f"[sweep] coupling fraction {x} outside (-1, 1]")
+            _as_config("[sweep] points:", _check_coupling_fraction, x)
     else:
         for x in filter(None, points):      # 0 is the exact zero-amplitude point
-            _check_config_amplitude(x, "points")
-
-    backend = _get(cp, "run", "backend", "filter").strip()
-    if backend not in BACKENDS:
-        raise ConfigError(f"[run] backend = {backend!r}: expected one of {BACKENDS}")
-    fock_dim = _get_int(cp, "run", "fock_dim", str(DEFAULT_FOCK_DIM))
-    if not 2 <= fock_dim <= MAX_FOCK_DIM:
-        raise ConfigError(f"[run] fock_dim = {fock_dim}: need 2 to {MAX_FOCK_DIM}")
-
-    levels_span = _get_float(cp, "levels", "delta_max_over_T", "50")
-    levels_points = _get_int(cp, "levels", "points", "201")
-    if levels_span <= 0 or levels_points < 3:
-        raise ConfigError("[levels] needs delta_max_over_T > 0 and points >= 3")
-    if levels_points > MAX_LEVELS_POINTS:
-        raise ConfigError(f"[levels] points = {levels_points}, more than {MAX_LEVELS_POINTS}")
+            _as_config("[sweep] points:", _check_amplitude, x)
 
     return RunConfig(
         device=device,
@@ -255,10 +273,10 @@ def load_config(path: str | Path) -> RunConfig:
         sweep_kind=kind,
         sweep_points=points,
         sweep_alpha=complex(alpha),
-        backend=backend,
-        fock_dim=fock_dim,
-        levels_span=levels_span,
-        levels_points=levels_points,
+        backend=v["run", "backend"],
+        fock_dim=v["run", "fock_dim"],
+        levels_span=v["levels", "delta_max_over_T"],
+        levels_points=v["levels", "points"],
         output_dir=Path("out"),
     )
 
@@ -329,7 +347,7 @@ def _run_backend(cfg: RunConfig, fn, *args, **kwargs):
 
 def cmd_reflect(cfg: RunConfig, plot: bool) -> int:
     alpha = cfg.sweep_alpha
-    _check_config_amplitude(alpha, "alpha")
+    _as_config("[sweep] alpha:", _check_amplitude, alpha)
     f_in = _default_pulse(cfg.device, cfg.tau, cfg.samples)
     results = _run_backend(cfg, scatter_all_states, f_in, alpha, cfg.device)
 
@@ -423,11 +441,13 @@ def cmd_fidelity(cfg: RunConfig, plot: bool) -> int:
 def cmd_regime(cfg: RunConfig, plot: bool) -> int:
     d = cfg.device
     two_pi = 2 * math.pi
+    lines = []      # printed once every quantity is computed: a fault prints none
+    say = lines.append
     # ahead of validate_regime, which evaluates it too, so that its fault is named
     if d.circuit is not None:
         w0 = _named("resonator fundamental", resonator_fundamental, d.circuit)
-    print("operating-regime report")
-    print(
+    say("operating-regime report")
+    say(
         f"  configured: g/2pi = {d.g_coupling / two_pi / 1e6:.6g} MHz, "
         f"kappa/2pi = {d.kappa / two_pi / 1e6:.6g} MHz, "
         f"1/(2pi T1) = {1.0 / d.t1 / two_pi / 1e6:.6g} MHz"
@@ -435,43 +455,44 @@ def cmd_regime(cfg: RunConfig, plot: bool) -> int:
 
     for chk in validate_regime(d, tau=cfg.tau):
         margin = "" if chk.margin is None else f"  margin {chk.margin:.3g}"
-        print(f"  check {chk.name:<18} {chk.status:<7}{margin}  {chk.detail}")
+        say(f"  check {chk.name:<18} {chk.status:<7}{margin}  {chk.detail}")
 
     s = s_parameter(d.g_coupling, d.t1, d.kappa) if d.g_coupling > 0 else 0.0
-    print(f"  s = g^2 T1 / kappa = {s:.6g}")
-    print(f"  photon-loss scale 1/s = {1.0 / s if s else math.inf:.4g}")
+    say(f"  s = g^2 T1 / kappa = {s:.6g}")
+    say(f"  photon-loss scale 1/s = {1.0 / s if s else math.inf:.4g}")
 
     gap = energy_gap(d.delta, d.tunneling)
-    print(f"  charge gap/2pi = {gap / two_pi / 1e9:.6g} GHz")
+    say(f"  charge gap/2pi = {gap / two_pi / 1e9:.6g} GHz")
     if d.circuit is not None:
         g_formula = coupling_g(d.circuit, mixing_angle(d.delta, d.tunneling))
         ratio = _named("coupling from circuit geometry", lambda: d.g_coupling / g_formula)
-        print(f"  resonator fundamental/2pi = {w0 / two_pi / 1e9:.6g} GHz")
-        print(
+        say(f"  resonator fundamental/2pi = {w0 / two_pi / 1e9:.6g} GHz")
+        say(
             f"  coupling from circuit geometry/2pi = {g_formula / two_pi / 1e6:.6g} MHz "
             f"(configured {d.g_coupling / two_pi / 1e6:.6g} MHz, "
             f"ratio {ratio:.3g})"
         )
     else:
-        print("  coupling from circuit geometry: skipped (no [circuit] section)")
+        say("  coupling from circuit geometry: skipped (no [circuit] section)")
 
     if d.tb > 0:
         t2 = charge_dephasing_estimate(gap, d.tb)
-        print(f"  charge dephasing estimate T2 = {t2 * 1e9:.4g} ns (switching time {d.tb * 1e9:.3g} ns)")
+        say(f"  charge dephasing estimate T2 = {t2 * 1e9:.4g} ns (switching time {d.tb * 1e9:.3g} ns)")
     else:
-        print("  charge dephasing estimate: skipped (tb_ns not set)")
+        say("  charge dephasing estimate: skipped (tb_ns not set)")
     if d.zeeman is not None and cfg.gradient_field:
         t2s = _named("spin dephasing estimate", spin_dephasing_estimate,
                      d.zeeman.g_factor, cfg.gradient_field)
-        print(
+        say(
             f"  spin dephasing estimate T2* = {t2s * 1e9:.4g} ns "
             f"(gradient {cfg.gradient_field * 1e3:.4g} mT)"
         )
     else:
-        print("  spin dephasing estimate: skipped (no gradient_field_mT)")
+        say("  spin dephasing estimate: skipped (no gradient_field_mT)")
 
-    print(f"  gate time (one pulse, tau) = {cfg.tau * 1e9:.4g} ns vs T1 = {d.t1 * 1e9:.4g} ns")
-    print("  alternate duration figure: ~100 ns (does not follow from tau*kappa; listed for comparison)")
+    say(f"  gate time (one pulse, tau) = {cfg.tau * 1e9:.4g} ns vs T1 = {d.t1 * 1e9:.4g} ns")
+    say("  alternate duration figure: ~100 ns (does not follow from tau*kappa; listed for comparison)")
+    print("\n".join(lines))
     return 0
 
 

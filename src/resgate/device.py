@@ -76,6 +76,8 @@ class DeviceParams:
             raise ValueError("t1 must be positive and finite")
         if self.g_coupling < 0:
             raise ValueError("g_coupling must be >= 0")
+        if self.tb < 0:
+            raise ValueError("tb must be >= 0")
 
 
 def reference_device() -> DeviceParams:

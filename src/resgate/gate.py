@@ -170,6 +170,12 @@ def sweep_photon_number(
     ]
 
 
+def _check_coupling_fraction(x: float) -> None:
+    """The coupling sweep's rule: g (1 + x) must stay positive, x in (-1, 1]."""
+    if not -1.0 < x <= 1.0:
+        raise ValueError(f"coupling fraction {x} outside (-1, 1]")
+
+
 def sweep_coupling_variation(
     params: DeviceParams,
     dg_fractions,
@@ -187,8 +193,7 @@ def sweep_coupling_variation(
     """
     fractions = [float(x) for x in dg_fractions]
     for x in fractions:
-        if not -1.0 < x <= 1.0:
-            raise ValueError(f"coupling fraction {x} outside (-1, 1]")
+        _check_coupling_fraction(x)
     alpha = complex(alpha)
     f_in = _default_pulse(params, tau, n_samples)
     varied = [replace(params, g_coupling=params.g_coupling * (1.0 + x)) for x in fractions]

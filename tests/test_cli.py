@@ -1,3 +1,5 @@
+import configparser
+import importlib.util
 import math
 import os
 import subprocess
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from resgate.cli import (
+    CONFIG_TABLE,
     FIDELITY_COLUMNS,
     MAX_FOCK_DIM,
     MAX_GRID_SAMPLES,
@@ -21,7 +24,9 @@ from resgate.errors import ConfigError, NumericsError
 from resgate.gate import sweep_photon_number
 from resgate.svgplot import line_chart
 
-DEFAULT_CFG = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
+ROOT = Path(__file__).resolve().parent.parent
+DEFAULT_CFG = ROOT / "configs" / "default.cfg"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def _read_csv(path):
@@ -126,6 +131,13 @@ _MESSAGES = {
     "gradient_field_mT = 1e-320": "spin dephasing estimate: ",
     "points = -1e308:1e308:3": "[sweep] points = ",
     "relaxation_rate_over_2pi_MHz = 1e-320": "[device] t1 ",
+    "length_m = -1": "[circuit] length_L must be positive",
+    "coupling_ratio = 2": "[circuit] coupling_ratio_v must lie in (0, 1]",
+    "b_field_T = -1": "[zeeman] b_field must be >= 0",
+    "gradient_field_mT = -1": "[zeeman] gradient_field_mT = -1 must be >= 0",
+    "tb_ns = -1": "[device] tb must be >= 0",
+    "fockdim = 4": "[run] unknown key 'fockdim'",
+    "[extra]\nx = 1\n\n[levels]": "unknown section [extra]",
 }
 
 
@@ -154,20 +166,59 @@ _MESSAGES = {
     ("levels", "delta_max_over_T = 50", "delta_max_over_T = 1e300", 3),
     # a Fock space past the cap, refused before master allocates it
     ("reflect", "fock_dim = 16", f"fock_dim = {MAX_FOCK_DIM + 1}", 2),
+    # circuit and Zeeman values their constructors refuse (they used to exit 3)
+    ("regime", "length_m = 0.03", "length_m = -1", 2),
+    ("regime", "coupling_ratio = 0.2", "coupling_ratio = 2", 2),
+    ("regime", "b_field_T = 1", "b_field_T = -1", 2),
+    # a negative gradient used to exit 3 after most of the report, and a
+    # negative switching time to exit 0 with its estimate skipped
+    ("regime", "gradient_field_mT = 0.21868", "gradient_field_mT = -1", 2),
+    ("regime", "tb_ns = 1", "tb_ns = -1", 2),
+    # a misspelt key or an unknown section used to be ignored
+    ("regime", "fock_dim = 16", "fockdim = 4", 2),
+    ("regime", "[levels]", "[extra]\nx = 1\n\n[levels]", 2),
+    # a line that is not a key = value pair (the parser's message spans lines)
+    ("regime", "[levels]", "garbage\n[levels]", 2),
 ])
 def test_failures_exit_with_one_line(tmp_path, capsys, command, old, new, code):
-    # every failure exits 2 or 3 with one stderr line, no traceback, and
-    # no output file
+    # every failure exits 2 or 3 with one stderr line, no traceback, no
+    # output file and nothing on stdout (regime prints its report whole)
     cfg = tmp_path / "case.cfg"
     text = DEFAULT_CFG.read_text()
     assert old in text
     cfg.write_text(text.replace(old, new).replace("samples = 0", "samples = 9"))
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == code
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     prefix = "config error: " if code == 2 else "numerical failure: "
     assert err.startswith(prefix + _MESSAGES.get(new, "")) and err.count("\n") == 1, err
+    assert captured.out == ""
     assert not out.exists()
+
+
+def _keys(path) -> set[tuple[str, str]]:
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    cp.read(path)
+    return {(section, key) for section in cp.sections() for key in cp[section]}
+
+
+def test_default_config_lists_every_key_of_the_table():
+    assert _keys(DEFAULT_CFG) == set(CONFIG_TABLE)
+
+
+def test_benchmark_configs_load(tmp_path, monkeypatch):
+    # the loader refuses unknown keys, so every config the benchmark
+    # generates must stay inside the table
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)     # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        for quick in (False, True):
+            for inv in workloads.generate(name, 0, tmp_path / f"{name}{quick}", quick):
+                load_config(inv.config)
 
 
 def test_csv_writer_refuses_non_finite_values(tmp_path):

@@ -154,3 +154,5 @@ def test_device_params_validation(ref):
         dataclasses.replace(ref, t1=math.inf)
     with pytest.raises(ValueError):
         dataclasses.replace(ref, g_coupling=-1.0)
+    with pytest.raises(ValueError, match="tb must be >= 0"):
+        dataclasses.replace(ref, tb=-1e-9)
