@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -192,6 +191,8 @@ def _as_config(where: str, fn, *args, **kwargs):
 def _read_table(cp: configparser.ConfigParser) -> dict[tuple[str, str], object]:
     """(section, key) -> value, in SI, of every row whose section is there."""
     sections = {section for section, _ in CONFIG_TABLE}
+    for key in cp.defaults():       # configparser would copy it into every section
+        raise ConfigError(f"[DEFAULT] unknown key '{key}'")
     for section in cp.sections():
         if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
@@ -281,26 +282,25 @@ def load_config(path: str | Path) -> RunConfig:
     )
 
 
-def _g12(x: float) -> str:
-    return f"{x:.12g}"
-
-
-# _g12 of a non-finite float
-_NON_FINITE = frozenset(("nan", "inf", "-inf"))
-
-
 def _write_rows(path: Path, header, rows) -> None:
-    """The one CSV writer; a non-finite number fails the run before the
-    file is opened."""
-    cells = [[v if isinstance(v, str) else _g12(v) for v in row] for row in rows]
-    for row in cells:
-        if not _NON_FINITE.isdisjoint(row):
-            raise NumericsError(f"{path.name} would hold a non-finite value: {','.join(row)}")
+    """The one CSV writer: the header line, then one line per row with its
+    numbers at 12 significant digits.  `rows` is a 2-D array of numbers or
+    a sequence of rows of one column layout, which may hold strings.  A
+    non-finite number fails the run before the file is opened."""
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
+    words = [isinstance(v, str) for v in rows[0]] if rows else []
+    line = ",".join("{}" if word else "{:.12g}" for word in words).format
+    lines = [line(*row) for row in rows]
+    if any(words):      # a word may hold an n ("meanfield"): test the numbers
+        bad = [text for text, row in zip(lines, rows)
+               if not all(math.isfinite(v) for v, word in zip(row, words) if not word)]
+    else:               # in the text of a number only nan and inf hold an n
+        bad = [text for text in lines if "n" in text]
+    if bad:
+        raise NumericsError(f"{path.name} would hold a non-finite value: {bad[0]}")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(cells)
+        fh.write("\n".join([",".join(header), *lines, ""]))
 
 
 def cmd_levels(cfg: RunConfig, plot: bool) -> int:
@@ -308,7 +308,7 @@ def cmd_levels(cfg: RunConfig, plot: bool) -> int:
     if t == 0:
         raise ConfigError("[device] tunneling_over_2pi_MHz must be nonzero for levels")
     deltas = np.linspace(-cfg.levels_span * t, cfg.levels_span * t, cfg.levels_points)
-    low, high = np.array([np.linalg.eigvalsh(dqd_hamiltonian(d, t)) for d in deltas]).T
+    low, high = np.linalg.eigvalsh(np.array([dqd_hamiltonian(d, t) for d in deltas])).T
     gap = high - low
     columns = {
         "delta_rad_per_s": deltas,
@@ -317,7 +317,7 @@ def cmd_levels(cfg: RunConfig, plot: bool) -> int:
         "gap_rad_per_s": gap,
     }
     out = cfg.output_dir / "levels.csv"
-    _write_rows(out, columns, zip(*columns.values()))
+    _write_rows(out, columns, np.column_stack(list(columns.values())))
     if plot:
         save_chart(
             cfg.output_dir / "levels.svg",
@@ -327,7 +327,7 @@ def cmd_levels(cfg: RunConfig, plot: bool) -> int:
             x_label="delta (rad/s)",
             y_label="gap (rad/s)",
         )
-    print(f"wrote {out} ({len(deltas)} rows); min gap {_g12(gap.min())} rad/s")
+    print(f"wrote {out} ({len(deltas)} rows); min gap {gap.min():.12g} rad/s")
     return 0
 
 
@@ -359,7 +359,7 @@ def cmd_reflect(cfg: RunConfig, plot: bool) -> int:
         g_out = abs(r.alpha_out) * r.f_out.envelope
         trace = {"time_s": times, "in_re": g_in.real, "in_im": g_in.imag,
                  "out_re": g_out.real, "out_im": g_out.imag}
-        _write_rows(cfg.output_dir / f"reflect_{label}.csv", trace, zip(*trace.values()))
+        _write_rows(cfg.output_dir / f"reflect_{label}.csv", trace, np.column_stack(list(trace.values())))
         if plot:
             save_chart(
                 cfg.output_dir / f"reflect_{label}.svg",

@@ -493,12 +493,13 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
         np.tile(w.ravel(), b_size)[: b_size * d * d - s].astype(complex)
         for w, s in ((cavity_w, d + 1), (charge_w, nf * (d + 1)))
     )
-    # The drive adds sqrt(kappa)(conj(beta) c - beta c^d) to the generator,
-    # written in place on the two diagonals where c and c^d live; c is real,
-    # so this rounds as the dense sum on every entry the drive reaches.
-    # The forcing row is b * scale; RK4 meets each row twice in a row (the
-    # two midpoint stages; the end of a step and the start of the next) as
-    # the same object: rewrite on a new row only.
+    # The drive adds sqrt(kappa)(conj(b) c - b c^d) to the generator, on the
+    # two diagonals where c and c^d live; c is real, so this rounds as the
+    # dense sum on every entry the drive reaches.  forcing builds both
+    # diagonals for every drive value b = beta scale of a chunk at once, and
+    # a row is the pair of them.  RK4 meets each row twice in a row (the two
+    # midpoint stages; the end of a step and the start of the next) as the
+    # same object: copy it into the generator on a new row only.
     gen = gen_eff.copy()
     sup, sub = (gen.reshape(b_size, d * d)[:, k :: d + 1] for k in (1, d))
     eff_sup, eff_sub = sup.copy(), sub.copy()
@@ -513,9 +514,8 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
         def rhs(row):
             if row is not last_row[0]:
                 last_row[0] = row
-                u = sk * (row[:, None] * c_sup)
-                np.add(eff_sup, np.conj(u), out=sup)
-                np.subtract(eff_sub, u, out=sub)
+                np.copyto(sup, row[0])
+                np.copyto(sub, row[1])
             x = gen @ r
             np.conjugate(x.swapaxes(1, 2), out=out)
             np.add(out, x, out=out)
@@ -525,7 +525,8 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
         return rhs
 
     def forcing(dr):
-        return dr[:, None] * scale
+        u = sk * ((dr[:, None] * scale)[:, :, None] * c_sup)
+        return zip(eff_sup + np.conj(u), eff_sub - u)
 
     n = grid.n_samples
     records = {name: np.empty((b_size, n), dtype=complex) for name in ops}

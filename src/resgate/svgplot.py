@@ -1,4 +1,4 @@
-"""Tiny dependency-free SVG line charts for sweep output.
+"""Tiny SVG line charts for sweep output, with no dependency beyond numpy.
 
 Deterministic text output: same data in, byte-identical file out.
 """
@@ -6,6 +6,8 @@ Deterministic text output: same data in, byte-identical file out.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 64, 16, 20, 44
@@ -39,13 +41,12 @@ def line_chart(
     y_label: str = "",
 ) -> str:
     """Render one series as an SVG document string."""
-    xs = [float(x) for x in xs]
-    ys = [float(y) for y in ys]
-    if len(xs) != len(ys) or not xs:
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if len(xs) != len(ys) or not len(xs):
         raise ValueError("xs and ys must be equal-length and non-empty")
 
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    x0, x1 = float(xs.min()), float(xs.max())
+    y0, y1 = float(ys.min()), float(ys.max())
     if x1 == x0:
         x0, x1 = x0 - 0.5, x1 + 0.5
     if y1 == y0:
@@ -53,10 +54,11 @@ def line_chart(
     pw = _W - _ML - _MR
     ph = _H - _MT - _MB
 
-    def px(x: float) -> float:
+    # px and py map a float or, for the polyline, an array of them
+    def px(x):
         return _ML + pw * (x - x0) / (x1 - x0)
 
-    def py(y: float) -> float:
+    def py(y):
         return _MT + ph * (y1 - y) / (y1 - y0)
 
     parts = [
@@ -73,7 +75,9 @@ def line_chart(
         y = py(t)
         parts.append(f'<line x1="{_ML - 4}" y1="{y:.1f}" x2="{_ML}" y2="{y:.1f}" stroke="#333"/>')
         parts.append(f'<text x="{_ML - 8}" y="{y + 4:.1f}" text-anchor="end">{_fmt(t)}</text>')
-    pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    # an overflow gives inf or nan, as in the float arithmetic of the ticks
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = " ".join(map("{:.2f},{:.2f}".format, px(xs).tolist(), py(ys).tolist()))
     parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>')
     if title:
         parts.append(f'<text x="{_W / 2:.0f}" y="14" text-anchor="middle" font-weight="bold">{title}</text>')

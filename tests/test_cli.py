@@ -65,6 +65,12 @@ def test_config_error_cases(tmp_path):
     with pytest.raises(ConfigError, match="not a number"):
         load_config(bad)
 
+    # configparser copies [DEFAULT] keys into every section; the error names [DEFAULT]
+    defaults = tmp_path / "defaults.cfg"
+    defaults.write_text("[DEFAULT]\nfoo = 1\n\n" + DEFAULT_CFG.read_text())
+    with pytest.raises(ConfigError, match=r"^\[DEFAULT\] unknown key 'foo'$"):
+        load_config(defaults)
+
     badbackend = tmp_path / "bk.cfg"
     badbackend.write_text(DEFAULT_CFG.read_text().replace("backend = filter", "backend = magic"))
     with pytest.raises(ConfigError, match="backend"):
@@ -221,12 +227,51 @@ def test_benchmark_configs_load(tmp_path, monkeypatch):
                 load_config(inv.config)
 
 
-def test_csv_writer_refuses_non_finite_values(tmp_path):
-    # the check runs before the file is opened: no partial CSV is left
+def _cell_by_cell(header, rows) -> str:
+    """The CSV text with each number formatted on its own, at 12 digits."""
+    lines = [",".join(v if isinstance(v, str) else f"{v:.12g}" for v in row) for row in rows]
+    return "\n".join([",".join(header), *lines, ""])
+
+
+def test_csv_writer_formats_as_cell_by_cell(tmp_path):
+    # one format call per row gives the bytes of one per cell
+    rng = np.random.default_rng(11)
+    values = rng.choice([-1.0, 1.0], (400, 5)) * 10.0 ** rng.uniform(-12, 3, (400, 5))
+    values[0] = [-0.0, 0.0, 1.0, -3.0, 1e3]
+    header = ["a", "b", "c", "d", "e"]
     path = tmp_path / "rows.csv"
-    with pytest.raises(NumericsError, match="non-finite"):
-        _write_rows(path, ["a", "b"], [[1.0, 2.0], [3.0, float("nan")]])
-    assert not path.exists()
+    _write_rows(path, header, values)
+    assert path.read_text() == _cell_by_cell(header, values)
+
+    # a sequence of rows: integers and numpy scalars as cells
+    rows = [[3, -7, 0, 12345678901234, np.float64(-0.0)],
+            [np.float64(x) for x in values[1]], [2**60, 1, -1, 10, 100]]
+    _write_rows(path, header, rows)
+    assert path.read_text() == _cell_by_cell(header, rows)
+
+    # rows that hold strings, as the reflect summary does
+    summary = [["00", 0.998265394623, -0.0, 3, np.float64(1e-12), "meanfield"],
+               ["11", -1.0, 2.5e-7, -4, np.float64(123.456789012345), "master"]]
+    head = ["state", "xi", "re", "im", "eps", "backend"]
+    _write_rows(path, head, summary)
+    assert path.read_text() == _cell_by_cell(head, summary)
+
+
+def test_csv_writer_refuses_non_finite_values(tmp_path):
+    # the check runs before the file is opened: no partial CSV is left.  A
+    # row of numbers and a row that holds words ("meanfield" holds an n)
+    # are checked in different ways; both give one message
+    path = tmp_path / "rows.csv"
+    for bad, text in ((float("nan"), "nan"), (float("inf"), "inf"), (-np.inf, "-inf")):
+        for rows, line in (
+            (np.array([[1.0, 2.0], [3.0, bad]]), f"3,{text}"),
+            ([[1.0, 2.0], [3.0, bad]], f"3,{text}"),
+            ([["00", 1.0, "meanfield"], ["11", bad, "meanfield"]], f"11,{text},meanfield"),
+        ):
+            with pytest.raises(NumericsError) as err:
+                _write_rows(path, ["a", "b", "c"][: len(rows[0])], rows)
+            assert str(err.value) == f"rows.csv would hold a non-finite value: {line}"
+            assert not path.exists()
 
 
 def test_missing_config_exit_code(tmp_path, capsys):

@@ -452,14 +452,17 @@ def test_evolve_master_matches_dense_lindblad(ref, fock_dim):
     )
 
 
+@pytest.mark.parametrize("n", [17, 41])
 @pytest.mark.parametrize("fock_dim", [3, 5])
-def test_master_batch_rows_match_dense_lindblad(ref, fock_dim):
+def test_master_batch_rows_match_dense_lindblad(ref, fock_dim, n):
     # three rows that differ in coupling (one dipole-free), in complex
     # drive scale and in initial state: a jump slice that bleeds into the
     # next row of the flat batch, or a drive written onto the wrong row,
-    # breaks the row-by-row agreement with the dense oracle
+    # breaks the row-by-row agreement with the dense oracle.  The drive
+    # diagonals are built a chunk of _CHUNK = 64 steps at a time: n = 17
+    # gives 64 steps, one full chunk; n = 41 gives 160, two full chunks
+    # and a partial one
     p = dataclasses.replace(ref, detuning=0.3 * ref.kappa)
-    n = 41
     grid = TimeGrid(0.0, 0.025 / p.kappa, n)
     period = n * grid.dt
 
