@@ -5,10 +5,11 @@ the unit) to match how the operating point is usually stated; everything
 internal is angular (rad/s).  Outputs are deterministic: fixed significant
 digits, '.' decimal separator, stable column order.
 
-Exit codes: 0 success, 2 configuration problem, 3 numerical-contract
-failure (passivity, trace drift, invalid sweep values, a floating-point
-overflow, division by zero or invalid operation, a non-finite CSV value).
-No run ends in a traceback.
+Exit codes: 0 success, 2 configuration problem (an output path that cannot
+be written included), 3 numerical-contract failure (passivity, trace drift,
+invalid sweep values, a floating-point overflow, division by zero or invalid
+operation, a non-finite CSV value or chart coordinate).  No run ends in a
+traceback.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .gate import (_check_coupling_fraction, _default_pulse, sweep_coupling_vari
 from .pulse import MIN_GRID_SAMPLES, default_grid
 from .scattering import (BACKENDS, DEFAULT_FOCK_DIM, STATE_LABELS, _check_amplitude,
                          scatter_all_states, xi_effective)
-from .svgplot import save_chart
+from .svgplot import line_chart, save_chart
 
 _TWO_PI_MHZ = 2.0 * math.pi * 1e6      # f/2pi in MHz to rad/s
 
@@ -76,7 +77,6 @@ FIDELITY_COLUMNS = (
 @dataclass
 class RunConfig:
     device: DeviceParams
-    gradient_field: float | None     # T, for the spin dephasing estimate
     tau: float
     samples: int | None
     sweep_kind: str
@@ -86,7 +86,8 @@ class RunConfig:
     fock_dim: int
     levels_span: float               # |delta| range in units of tunneling
     levels_points: int
-    output_dir: Path
+    gradient_field: float | None = None     # T, for the spin dephasing estimate
+    output_dir: Path = Path("out")
 
 
 # Readers: each turns the text of one value into the value, or raises
@@ -115,10 +116,11 @@ _non_negative = _within(_real, lambda x: x >= 0, "must be >= 0")
 
 
 def _int_in(lo: int, hi: int, auto: bool = False):
-    """A reader of an int from lo to hi, or 0 (automatic) if `auto`."""
-    return _within(lambda text: _parse(int, text, "is not an integer"),
+    """A reader of an int from lo to hi, or, if `auto`, of 0 as None (automatic)."""
+    read = _within(lambda text: _parse(int, text, "is not an integer"),
                    lambda n: lo <= n <= hi or auto and n == 0,
                    f"must be {'0 (automatic) or ' if auto else ''}{lo} to {hi}")
+    return (lambda text: read(text) or None) if auto else read
 
 
 def _word(*words: str):
@@ -147,37 +149,46 @@ def _points(text: str) -> list[float]:
     return [float(x) for x in np.linspace(*values, count)] if ranged else values
 
 
+def _times(factor: float):
+    return lambda value: value * factor
+
+
+_MHZ = _times(_TWO_PI_MHZ)
+
 # Every key the program reads, one row each: (section, key) -> (default
-# text, None if required; reader; factor to SI, None if not a quantity).
-# The readers hold only the rules no constructor checks: the physical
-# domains are DeviceParams', CircuitParams' and ZeemanParams'.
+# text, None if required; reader; conversion to SI, None if none; field: a
+# parameter of the section's constructor, or run.<name> for a RunConfig
+# field).  The readers hold only the rules no constructor checks: the
+# physical domains are DeviceParams', CircuitParams' and ZeemanParams'.
 CONFIG_TABLE = {
-    ("device", "delta_over_2pi_MHz"): (None, _real, _TWO_PI_MHZ),
-    ("device", "tunneling_over_2pi_MHz"): (None, _real, _TWO_PI_MHZ),
-    ("device", "g_over_2pi_MHz"): (None, _real, _TWO_PI_MHZ),
-    ("device", "kappa_over_2pi_MHz"): (None, _real, _TWO_PI_MHZ),
-    ("device", "detuning_over_2pi_MHz"): (None, _real, _TWO_PI_MHZ),
-    ("device", "relaxation_rate_over_2pi_MHz"): (None, _positive, _TWO_PI_MHZ),   # 1/T1
-    ("device", "tb_ns"): ("0", _real, 1e-9),
-    ("circuit", "length_m"): (None, _real, 1.0),
-    ("circuit", "cap_per_len_pF_per_m"): (None, _real, 1e-12),
-    ("circuit", "impedance_ohm"): (None, _real, 1.0),
-    ("circuit", "coupling_ratio"): (None, _real, 1.0),
-    ("zeeman", "g_factor"): (None, _real, 1.0),
-    ("zeeman", "b_field_T"): (None, _real, 1.0),
-    ("zeeman", "gradient_field_mT"): ("0", _non_negative, 1e-3),
-    ("pulse", "tau_over_kappa"): (None, _positive, 1.0),
-    ("pulse", "samples"): ("0", _int_in(MIN_GRID_SAMPLES, MAX_GRID_SAMPLES, auto=True), None),
-    ("sweep", "kind"): ("photon", _word("photon", "coupling"), None),
-    ("sweep", "points"): (None, _points, None),
-    ("sweep", "alpha"): ("1", _real, 1.0),
-    ("run", "backend"): ("filter", _word(*BACKENDS), None),
-    ("run", "fock_dim"): (str(DEFAULT_FOCK_DIM), _int_in(2, MAX_FOCK_DIM), None),
-    ("levels", "delta_max_over_T"): ("50", _positive, 1.0),
-    ("levels", "points"): ("201", _int_in(3, MAX_LEVELS_POINTS), None),
+    ("device", "delta_over_2pi_MHz"): (None, _real, _MHZ, "delta"),
+    ("device", "tunneling_over_2pi_MHz"): (None, _real, _MHZ, "tunneling"),
+    ("device", "g_over_2pi_MHz"): (None, _real, _MHZ, "g_coupling"),
+    ("device", "kappa_over_2pi_MHz"): (None, _real, _MHZ, "kappa"),
+    ("device", "detuning_over_2pi_MHz"): (None, _real, _MHZ, "detuning"),
+    ("device", "relaxation_rate_over_2pi_MHz"):
+        (None, _positive, lambda rate: 1.0 / (rate * _TWO_PI_MHZ), "t1"),
+    ("device", "tb_ns"): ("0", _real, _times(1e-9), "tb"),
+    ("circuit", "length_m"): (None, _real, None, "length_L"),
+    ("circuit", "cap_per_len_pF_per_m"): (None, _real, _times(1e-12), "cap_per_len_C0"),
+    ("circuit", "impedance_ohm"): (None, _real, None, "impedance_Z0"),
+    ("circuit", "coupling_ratio"): (None, _real, None, "coupling_ratio_v"),
+    ("zeeman", "g_factor"): (None, _real, None, "g_factor"),
+    ("zeeman", "b_field_T"): (None, _real, None, "b_field"),
+    ("zeeman", "gradient_field_mT"): ("0", _non_negative, _times(1e-3), "run.gradient_field"),
+    # tau * kappa; load_config divides it by kappa
+    ("pulse", "tau_over_kappa"): (None, _positive, None, "run.tau"),
+    ("pulse", "samples"): ("0", _int_in(MIN_GRID_SAMPLES, MAX_GRID_SAMPLES, auto=True), None, "run.samples"),
+    ("sweep", "kind"): ("photon", _word("photon", "coupling"), None, "run.sweep_kind"),
+    ("sweep", "points"): (None, _points, None, "run.sweep_points"),
+    ("sweep", "alpha"): ("1", _real, complex, "run.sweep_alpha"),
+    ("run", "backend"): ("filter", _word(*BACKENDS), None, "run.backend"),
+    ("run", "fock_dim"): (str(DEFAULT_FOCK_DIM), _int_in(2, MAX_FOCK_DIM), None, "run.fock_dim"),
+    ("levels", "delta_max_over_T"): ("50", _positive, None, "run.levels_span"),
+    ("levels", "points"): ("201", _int_in(3, MAX_LEVELS_POINTS), None, "run.levels_points"),
 }
-# a file may leave these out whole; if it has one, it has all its required keys
-_OPTIONAL_SECTIONS = ("circuit", "zeeman")
+# sections a file may leave out whole (if it has one, it has all its required keys), and the part each builds
+_PARTS = {"circuit": CircuitParams, "zeeman": ZeemanParams}
 
 
 def _as_config(where: str, fn, *args, **kwargs):
@@ -188,8 +199,8 @@ def _as_config(where: str, fn, *args, **kwargs):
         raise ConfigError(f"{where} {exc}") from None
 
 
-def _read_table(cp: configparser.ConfigParser) -> dict[tuple[str, str], object]:
-    """(section, key) -> value, in SI, of every row whose section is there."""
+def _read_table(cp: configparser.ConfigParser) -> dict[str, dict[str, object]]:
+    """target ("run" or the section) -> {field: value in SI}, of every row whose section is there."""
     sections = {section for section, _ in CONFIG_TABLE}
     for key in cp.defaults():       # configparser would copy it into every section
         raise ConfigError(f"[DEFAULT] unknown key '{key}'")
@@ -200,15 +211,16 @@ def _read_table(cp: configparser.ConfigParser) -> dict[tuple[str, str], object]:
             if (section, key) not in CONFIG_TABLE:
                 raise ConfigError(f"[{section}] unknown key '{key}'")
     values = {}
-    for (section, key), (default, reader, unit) in CONFIG_TABLE.items():
-        if section in _OPTIONAL_SECTIONS and not cp.has_section(section):
+    for (section, key), (default, reader, to_si, field) in CONFIG_TABLE.items():
+        if section in _PARTS and not cp.has_section(section):
             continue
         raw = cp.get(section, key, fallback=default)
         if raw is None:
             raise ConfigError(f"[{section}] missing key '{key}'")
         shown = " ".join(raw.split())       # a value may span lines
         value = _as_config(f"[{section}] {key} = {shown}", reader, raw)
-        values[section, key] = value if unit is None else value * unit
+        target, _, name = field.rpartition(".")
+        values.setdefault(target or section, {})[name] = value if to_si is None else to_si(value)
     return values
 
 
@@ -219,36 +231,17 @@ def load_config(path: str | Path) -> RunConfig:
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str        # keys carry unit suffixes with capitals
     try:
-        cp.read(path)
-    except configparser.Error as exc:       # its message may span lines
+        cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:     # its message may span lines
         raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from None
     v = _read_table(cp)
+    parts = {name: _as_config(f"[{name}]", part, **v[name]) for name, part in _PARTS.items() if name in v}
+    device = _as_config("[device]", DeviceParams, **v["device"], **parts)
+    run = v["run"]
+    run["tau"] /= device.kappa
 
-    circuit = zeeman = gradient = None
-    if cp.has_section("circuit"):
-        circuit = _as_config("[circuit]", CircuitParams, v["circuit", "length_m"],
-                             v["circuit", "cap_per_len_pF_per_m"], v["circuit", "impedance_ohm"],
-                             v["circuit", "coupling_ratio"])
-    if cp.has_section("zeeman"):
-        zeeman = _as_config("[zeeman]", ZeemanParams, v["zeeman", "g_factor"], v["zeeman", "b_field_T"])
-        gradient = v["zeeman", "gradient_field_mT"]
-    device = _as_config(
-        "[device]", DeviceParams,
-        delta=v["device", "delta_over_2pi_MHz"],
-        tunneling=v["device", "tunneling_over_2pi_MHz"],
-        g_coupling=v["device", "g_over_2pi_MHz"],
-        kappa=v["device", "kappa_over_2pi_MHz"],
-        detuning=v["device", "detuning_over_2pi_MHz"],
-        t1=1.0 / v["device", "relaxation_rate_over_2pi_MHz"],
-        tb=v["device", "tb_ns"],
-        circuit=circuit,
-        zeeman=zeeman,
-    )
-
-    tau = v["pulse", "tau_over_kappa"] / device.kappa
-    samples = v["pulse", "samples"]
     try:        # default_grid only does arithmetic; it allocates nothing
-        n_samples = samples or default_grid(tau, device.kappa).n_samples
+        n_samples = run["samples"] or default_grid(run["tau"], device.kappa).n_samples
     except OverflowError:
         n_samples = math.inf
     if n_samples > MAX_GRID_SAMPLES:
@@ -257,29 +250,16 @@ def load_config(path: str | Path) -> RunConfig:
             f"{MAX_GRID_SAMPLES}; raise tau_over_kappa or set samples"
         )
 
-    kind, points, alpha = v["sweep", "kind"], v["sweep", "points"], v["sweep", "alpha"]
-    if kind == "coupling":
-        _as_config("[sweep] alpha:", _check_amplitude, alpha)
+    points = run["sweep_points"]
+    if run["sweep_kind"] == "coupling":
+        # the config's real value, as the message shows it
+        _as_config("[sweep] alpha:", _check_amplitude, run["sweep_alpha"].real)
         for x in points:
             _as_config("[sweep] points:", _check_coupling_fraction, x)
     else:
         for x in filter(None, points):      # 0 is the exact zero-amplitude point
             _as_config("[sweep] points:", _check_amplitude, x)
-
-    return RunConfig(
-        device=device,
-        gradient_field=gradient,
-        tau=tau,
-        samples=samples or None,
-        sweep_kind=kind,
-        sweep_points=points,
-        sweep_alpha=complex(alpha),
-        backend=v["run", "backend"],
-        fock_dim=v["run", "fock_dim"],
-        levels_span=v["levels", "delta_max_over_T"],
-        levels_points=v["levels", "points"],
-        output_dir=Path("out"),
-    )
+    return RunConfig(device=device, **run)
 
 
 def _write_rows(path: Path, header, rows) -> None:
@@ -303,6 +283,21 @@ def _write_rows(path: Path, header, rows) -> None:
         fh.write("\n".join([",".join(header), *lines, ""]))
 
 
+def _named(name: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs); a failure, a floating-point fault included, is
+    reported as a numerics failure of `name`."""
+    try:
+        return fn(*args, **kwargs)
+    except (NumericsError, ValueError, ArithmeticError) as exc:
+        raise NumericsError(f"{name}: {exc}") from exc
+
+
+def _chart(path: Path, xs, ys, **labels) -> tuple[Path, str]:
+    """(path, SVG text) of one chart.  A command renders its charts before it
+    writes any file and saves them last, so a chart that fails leaves none."""
+    return path, _named(path.name, line_chart, xs, ys, **labels)
+
+
 def cmd_levels(cfg: RunConfig, plot: bool) -> int:
     t = cfg.device.tunneling
     if t == 0:
@@ -316,28 +311,14 @@ def cmd_levels(cfg: RunConfig, plot: bool) -> int:
         "energy_high_rad_per_s": high,
         "gap_rad_per_s": gap,
     }
+    charts = [_chart(cfg.output_dir / "levels.svg", deltas, gap, title="charge gap vs bias",
+                     x_label="delta (rad/s)", y_label="gap (rad/s)")] if plot else []
     out = cfg.output_dir / "levels.csv"
     _write_rows(out, columns, np.column_stack(list(columns.values())))
-    if plot:
-        save_chart(
-            cfg.output_dir / "levels.svg",
-            deltas,
-            gap,
-            title="charge gap vs bias",
-            x_label="delta (rad/s)",
-            y_label="gap (rad/s)",
-        )
+    for chart in charts:
+        save_chart(*chart)
     print(f"wrote {out} ({len(deltas)} rows); min gap {gap.min():.12g} rad/s")
     return 0
-
-
-def _named(name: str, fn, *args, **kwargs):
-    """fn(*args, **kwargs); a failure, a floating-point fault included, is
-    reported as a numerics failure of `name`."""
-    try:
-        return fn(*args, **kwargs)
-    except (NumericsError, ValueError, ArithmeticError) as exc:
-        raise NumericsError(f"{name}: {exc}") from exc
 
 
 def _run_backend(cfg: RunConfig, fn, *args, **kwargs):
@@ -353,22 +334,16 @@ def cmd_reflect(cfg: RunConfig, plot: bool) -> int:
 
     times = f_in.grid.times()
     g_in = alpha * f_in.envelope
+    g_outs = {label: abs(results[label].alpha_out) * results[label].f_out.envelope for label in STATE_LABELS}
+    charts = [_chart(cfg.output_dir / f"reflect_{label}.svg", times, np.abs(g_out) ** 2,
+                     title=f"reflected power, state {label}", x_label="t (s)", y_label="|g_out|^2")
+              for label, g_out in g_outs.items()] if plot else []
     summary = []
-    for label in STATE_LABELS:
+    for label, g_out in g_outs.items():
         r = results[label]
-        g_out = abs(r.alpha_out) * r.f_out.envelope
         trace = {"time_s": times, "in_re": g_in.real, "in_im": g_in.imag,
                  "out_re": g_out.real, "out_im": g_out.imag}
         _write_rows(cfg.output_dir / f"reflect_{label}.csv", trace, np.column_stack(list(trace.values())))
-        if plot:
-            save_chart(
-                cfg.output_dir / f"reflect_{label}.svg",
-                times,
-                np.abs(g_out) ** 2,
-                title=f"reflected power, state {label}",
-                x_label="t (s)",
-                y_label="|g_out|^2",
-            )
         xi_eff = xi_effective(r)
         summary.append({
             "state": label,
@@ -384,6 +359,8 @@ def cmd_reflect(cfg: RunConfig, plot: bool) -> int:
         })
     out = cfg.output_dir / "reflect_summary.csv"
     _write_rows(out, summary[0], (record.values() for record in summary))
+    for chart in charts:
+        save_chart(*chart)
     print(f"wrote {out}")
     for record in summary:
         print(
@@ -416,17 +393,13 @@ def cmd_fidelity(cfg: RunConfig, plot: bool) -> int:
     points = _run_backend(
         cfg, sweep, cfg.device, cfg.sweep_points, *args, tau=cfg.tau, n_samples=cfg.samples
     )
+    charts = [_chart(cfg.output_dir / "fidelity.svg", [p.x_value for p in points],
+                     [p.fidelity for p in points], title="gate fidelity", x_label=x_label,
+                     y_label="F")] if plot else []
     out = cfg.output_dir / "fidelity.csv"
     _write_rows(out, FIDELITY_COLUMNS, map(_fidelity_row, points))
-    if plot:
-        save_chart(
-            cfg.output_dir / "fidelity.svg",
-            [p.x_value for p in points],
-            [p.fidelity for p in points],
-            title="gate fidelity",
-            x_label=x_label,
-            y_label="F",
-        )
+    for chart in charts:
+        save_chart(*chart)
     print(f"wrote {out} ({len(points)} rows)")
     flagged = sum(p.unreliable for p in points)
     if flagged:
@@ -530,6 +503,9 @@ def main(argv=None) -> int:
                 cfg.output_dir = Path(args.out)
             return _DISPATCH[args.command](cfg, args.plot)
     except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:      # an output path that cannot be made or written
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericsError, ValueError, ArithmeticError) as exc:

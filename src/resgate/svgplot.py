@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from .errors import NumericsError
+
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 64, 16, 20, 44
 
@@ -40,7 +42,8 @@ def line_chart(
     x_label: str = "",
     y_label: str = "",
 ) -> str:
-    """Render one series as an SVG document string."""
+    """Render one series as an SVG document string.  A coordinate that is
+    not finite (the scaled data range overflows) raises NumericsError."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if len(xs) != len(ys) or not len(xs):
         raise ValueError("xs and ys must be equal-length and non-empty")
@@ -61,6 +64,12 @@ def line_chart(
     def py(y):
         return _MT + ph * (y1 - y) / (y1 - y0)
 
+    # an overflow gives inf or nan; the ticks lie inside the data range, so
+    # finite data coordinates keep theirs finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        xp, yp = px(xs), py(ys)
+    if not (np.isfinite(xp).all() and np.isfinite(yp).all()):
+        raise NumericsError("a chart coordinate is not finite")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="Helvetica,Arial,sans-serif" font-size="12">',
@@ -75,9 +84,7 @@ def line_chart(
         y = py(t)
         parts.append(f'<line x1="{_ML - 4}" y1="{y:.1f}" x2="{_ML}" y2="{y:.1f}" stroke="#333"/>')
         parts.append(f'<text x="{_ML - 8}" y="{y + 4:.1f}" text-anchor="end">{_fmt(t)}</text>')
-    # an overflow gives inf or nan, as in the float arithmetic of the ticks
-    with np.errstate(over="ignore", invalid="ignore"):
-        pts = " ".join(map("{:.2f},{:.2f}".format, px(xs).tolist(), py(ys).tolist()))
+    pts = " ".join(map("{:.2f},{:.2f}".format, xp.tolist(), yp.tolist()))
     parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>')
     if title:
         parts.append(f'<text x="{_W / 2:.0f}" y="14" text-anchor="middle" font-weight="bold">{title}</text>')
@@ -92,6 +99,7 @@ def line_chart(
     return "\n".join(parts) + "\n"
 
 
-def save_chart(path, xs, ys, **kwargs) -> None:
+def save_chart(path, svg: str) -> None:
+    """Write the text of a chart that line_chart rendered."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(line_chart(xs, ys, **kwargs))
+        fh.write(svg)

@@ -1,5 +1,6 @@
 import configparser
 import importlib.util
+import inspect
 import math
 import os
 import subprocess
@@ -16,10 +17,12 @@ from resgate.cli import (
     MAX_GRID_SAMPLES,
     MAX_LEVELS_POINTS,
     MAX_SWEEP_POINTS,
+    RunConfig,
     _write_rows,
     load_config,
     main,
 )
+from resgate.device import CircuitParams, DeviceParams, ZeemanParams
 from resgate.errors import ConfigError, NumericsError
 from resgate.gate import sweep_photon_number
 from resgate.svgplot import line_chart
@@ -36,19 +39,43 @@ def _read_csv(path):
     return header, rows
 
 
-def test_default_config_values():
+def test_default_config_values(tmp_path):
+    # every field bit for bit, each computed from the text the loader's way:
+    # value times its factor to SI, then the reciprocal for t1
     cfg = load_config(DEFAULT_CFG)
-    two_pi = 2 * math.pi
-    assert cfg.device.g_coupling == pytest.approx(two_pi * 120e6)
-    assert cfg.device.kappa == pytest.approx(two_pi * 100e6)
-    assert cfg.device.t1 == pytest.approx(1.0 / (two_pi * 1e6))
-    assert cfg.tau == pytest.approx(10.0 / cfg.device.kappa)
-    assert cfg.backend == "filter"
-    assert cfg.sweep_kind == "photon"
-    assert len(cfg.sweep_points) == 23
-    assert cfg.sweep_points[0] == 0.0 and cfg.sweep_points[-1] == 22.0
-    assert cfg.device.circuit is not None and cfg.device.zeeman is not None
-    assert cfg.gradient_field == pytest.approx(0.21868e-3)
+    mhz = 2 * math.pi * 1e6
+    kappa = 100 * mhz
+    assert cfg == RunConfig(
+        device=DeviceParams(
+            delta=0 * mhz, tunneling=5000 * mhz, g_coupling=120 * mhz, kappa=kappa,
+            detuning=0 * mhz, t1=1.0 / (1 * mhz), tb=1 * 1e-9,
+            circuit=CircuitParams(length_L=0.03, cap_per_len_C0=33.3333333333333 * 1e-12,
+                                  impedance_Z0=50.0, coupling_ratio_v=0.2),
+            zeeman=ZeemanParams(g_factor=-13.0, b_field=1.0),
+        ),
+        tau=10.0 / kappa,
+        samples=None,
+        sweep_kind="photon",
+        sweep_points=[float(x) for x in range(23)],
+        sweep_alpha=20 + 0j,
+        backend="filter",
+        fock_dim=16,
+        levels_span=50.0,
+        levels_points=201,
+        gradient_field=0.21868 * 1e-3,
+        output_dir=Path("out"),
+    )
+    assert cfg.samples is None and type(cfg.sweep_alpha) is complex
+
+    # [circuit] and [zeeman] left out whole: no parts and no gradient; and
+    # the two zeros of the default file, delta and detuning, kept apart
+    bare = tmp_path / "bare.cfg"
+    text = DEFAULT_CFG.read_text().replace("delta_over_2pi_MHz = 0", "delta_over_2pi_MHz = 3")
+    text = text.replace("detuning_over_2pi_MHz = 0", "detuning_over_2pi_MHz = -7")
+    bare.write_text(text[: text.index("[circuit]\n")] + text[text.index("[pulse]\n"):])
+    cfg = load_config(bare)
+    assert cfg.device.circuit is None and cfg.device.zeeman is None and cfg.gradient_field is None
+    assert cfg.device.delta == 3 * mhz and cfg.device.detuning == -7 * mhz
 
 
 def test_config_error_cases(tmp_path):
@@ -70,6 +97,12 @@ def test_config_error_cases(tmp_path):
     defaults.write_text("[DEFAULT]\nfoo = 1\n\n" + DEFAULT_CFG.read_text())
     with pytest.raises(ConfigError, match=r"^\[DEFAULT\] unknown key 'foo'$"):
         load_config(defaults)
+
+    # a byte that is not UTF-8, here in a comment, is an error of the file
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(b"# caf\xe9\n" + DEFAULT_CFG.read_bytes())
+    with pytest.raises(ConfigError, match=r"latin\.cfg: 'utf-8' codec can't decode byte 0xe9"):
+        load_config(latin)
 
     badbackend = tmp_path / "bk.cfg"
     badbackend.write_text(DEFAULT_CFG.read_text().replace("backend = filter", "backend = magic"))
@@ -144,6 +177,7 @@ _MESSAGES = {
     "tb_ns = -1": "[device] tb must be >= 0",
     "fockdim = 4": "[run] unknown key 'fockdim'",
     "[extra]\nx = 1\n\n[levels]": "unknown section [extra]",
+    "delta_max_over_T = 3e295": "levels.svg: a chart coordinate is not finite",
 }
 
 
@@ -170,6 +204,9 @@ _MESSAGES = {
     # a bias range that overflows: NaN rows used to be written with exit 0
     ("levels", "tunneling_over_2pi_MHz = 5000", "tunneling_over_2pi_MHz = 1e300", 3),
     ("levels", "delta_max_over_T = 50", "delta_max_over_T = 1e300", 3),
+    # a bias range whose chart scaling overflows, though every CSV value is
+    # finite: levels.svg used to be written with inf coordinates and exit 0
+    ("levels --plot", "delta_max_over_T = 50", "delta_max_over_T = 3e295", 3),
     # a Fock space past the cap, refused before master allocates it
     ("reflect", "fock_dim = 16", f"fock_dim = {MAX_FOCK_DIM + 1}", 2),
     # circuit and Zeeman values their constructors refuse (they used to exit 3)
@@ -194,7 +231,7 @@ def test_failures_exit_with_one_line(tmp_path, capsys, command, old, new, code):
     assert old in text
     cfg.write_text(text.replace(old, new).replace("samples = 0", "samples = 9"))
     out = tmp_path / "out"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+    assert main([*command.split(), "--config", str(cfg), "--out", str(out)]) == code
     captured = capsys.readouterr()
     err = captured.err
     prefix = "config error: " if code == 2 else "numerical failure: "
@@ -212,6 +249,25 @@ def _keys(path) -> set[tuple[str, str]]:
 
 def test_default_config_lists_every_key_of_the_table():
     assert _keys(DEFAULT_CFG) == set(CONFIG_TABLE)
+
+    # the field column: a row fills a parameter of its section's constructor,
+    # or run.<name> of RunConfig, and no parameter is filled twice
+    targets = {"device": DeviceParams, "circuit": CircuitParams, "zeeman": ZeemanParams, "run": RunConfig}
+    params = {target: inspect.signature(cls).parameters for target, cls in targets.items()}
+    filled = {target: [] for target in targets}
+    for (section, key), (_, _, to_si, field) in CONFIG_TABLE.items():
+        assert to_si is None or callable(to_si), key
+        target, _, name = field.rpartition(".")
+        assert name in params[target or section], (section, key)
+        filled[target or section].append(name)
+    for target, names in filled.items():
+        assert len(names) == len(set(names)), target
+    # every parameter of the device parts, but the parts themselves
+    for target in ("device", "circuit", "zeeman"):
+        assert set(filled[target]) == set(params[target]) - {"circuit", "zeeman"}, target
+    # every RunConfig field without a default, but the device it is given
+    required = {name for name, p in params["run"].items() if p.default is inspect.Parameter.empty}
+    assert required - {"device"} <= set(filled["run"])
 
 
 def test_benchmark_configs_load(tmp_path, monkeypatch):
@@ -272,6 +328,17 @@ def test_csv_writer_refuses_non_finite_values(tmp_path):
                 _write_rows(path, ["a", "b", "c"][: len(rows[0])], rows)
             assert str(err.value) == f"rows.csv would hold a non-finite value: {line}"
             assert not path.exists()
+
+
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys):
+    # an output directory that cannot be made, under a file or on one, is
+    # reported with its path; it used to end in a traceback
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out in (afile / "sub", afile):
+        assert main(["levels", "--config", str(DEFAULT_CFG), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(out) in err and err.count("\n") == 1, err
 
 
 def test_missing_config_exit_code(tmp_path, capsys):
@@ -445,3 +512,7 @@ def test_svg_chart_deterministic():
     assert "<polyline" in a and a.startswith("<svg")
     with pytest.raises(ValueError):
         line_chart([0, 1], [1.0])
+    # a data range whose scaling overflows, and a NaN, give no chart
+    for xs, ys in (([-1e307, 1e307], [0.0, 1.0]), ([0.0, 1.0], [float("nan"), 1.0])):
+        with pytest.raises(NumericsError, match="a chart coordinate is not finite"):
+            line_chart(xs, ys)
