@@ -245,8 +245,10 @@ def load_config(path: str | Path) -> RunConfig:
     except OverflowError:
         n_samples = math.inf
     if n_samples > MAX_GRID_SAMPLES:
+        # past 2^53 the count is a rounded float's digits: give three of them
+        shown = f"{n_samples:.3g}" if n_samples > 2**53 else n_samples
         raise ConfigError(
-            f"[pulse] the time grid would hold {n_samples} samples, more than "
+            f"[pulse] the time grid would hold {shown} samples, more than "
             f"{MAX_GRID_SAMPLES}; raise tau_over_kappa or set samples"
         )
 

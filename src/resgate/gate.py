@@ -154,18 +154,17 @@ def sweep_photon_number(
         for a in driven:
             _check_amplitude(a)      # the rescaled amplitudes reach no kernel
         shared = scatter_all_states(f_in, 1.0, params, backend=backend)
-        runs = [
+        runs = (
             {
                 lab: replace(r, alpha_in=a, alpha_out=a * (r.alpha_out / r.alpha_in))
                 for lab, r in shared.items()
             }
             for a in driven
-        ]
+        )
     else:
         runs = scatter_batch(f_in, [(a, params) for a in driven], backend, fock_dim)
-    by_alpha = iter(runs)
     return [
-        _zero_point(f_in, params) if a == 0 else _point(abs(a) ** 2, a, next(by_alpha))
+        _zero_point(f_in, params) if a == 0 else _point(abs(a) ** 2, a, next(runs))
         for a in alphas
     ]
 

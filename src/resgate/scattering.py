@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import accumulate
@@ -247,7 +248,9 @@ def _upsample(values: np.ndarray) -> np.ndarray:
         # for real input
         out[half] = 0.5 * sp[half]
         out[factor * m - half] = 0.5 * sp[half]
-    return np.fft.ifft(out) * factor
+    out = np.fft.ifft(out)
+    out *= factor
+    return out
 
 
 def _rk4(bind, y, drive, forcing, grid, on_sample):
@@ -451,7 +454,7 @@ def reflect_meanfield(
     MEANFIELD_EXCITATION_BOUND, past which the factorisation error is
     larger than the backend's stated accuracy.
     """
-    return _reflect_batch(f_in, [(alpha, state, params)], "meanfield")[0]
+    return next(_reflect_batch(f_in, [(alpha, state, params)], "meanfield"))
 
 
 def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
@@ -637,14 +640,19 @@ def _bare_row(c_traj, backend: str, fock_dim: int) -> tuple[np.ndarray, dict]:
     return c_traj, _master_diagnostics(peak_photon, 0.0, _coherent_fock_tail(peak_photon, fock_dim), 0.0)
 
 
-def _reflect_batch(f_in: Pulse, jobs, backend: str, fock_dim=DEFAULT_FOCK_DIM) -> list[ReflectionResult]:
+def _reflect_batch(f_in: Pulse, jobs, backend: str, fock_dim=DEFAULT_FOCK_DIM) -> Iterator[ReflectionResult]:
     """meanfield or master reflection of each (alpha, state, params) job.
 
     A job whose state couples no dipole (g_eff = 0) meets a bare, exactly
     linear cavity.  It takes _bare_cavity_field, evaluated once at unit
     amplitude and scaled by its alpha, and never enters the RK4 batch;
     the other jobs are integrated as one batch.  Both use the same
-    upsampled drive.  The amplitude rule and master sizing check cover every job.
+    upsampled drive.
+
+    The checks (the amplitude rule, master sizing, the shared device, trace
+    drift) and the integration run at the call.  The returned iterator
+    decomposes a job when it is consumed, so a caller that keeps one
+    result at a time holds only the batch's <c> record and that result.
     """
     if not f_in.is_normalized():
         raise ValueError("input pulse must be normalized")
@@ -659,6 +667,8 @@ def _reflect_batch(f_in: Pulse, jobs, backend: str, fock_dim=DEFAULT_FOCK_DIM) -
     drive = _upsample(f_in.envelope)
     bare = [st.g_eff(q.g_coupling) == 0 for _, st, q in jobs]
     coupled = [job for job, is_bare in zip(jobs, bare) if not is_bare]
+    # ahead of the batch, so that its temporaries do not stack on the batch's record
+    c_unit = _bare_cavity_field(_shared_params(jobs), drive, f_in.grid) if any(bare) else None
     # A step too coarse for the batch overflows to inf and NaN; that is
     # reported once, as a NumericsError from _decompose's finite check or
     # master's trace drift check, not as numpy warnings along the way.
@@ -669,16 +679,16 @@ def _reflect_batch(f_in: Pulse, jobs, backend: str, fock_dim=DEFAULT_FOCK_DIM) -
             rows = _meanfield_rows(f_in.grid, coupled, drive)
         else:
             rows = _master_rows(f_in.grid, coupled, drive, fock_dim)
-    if any(bare):
-        c_unit = _bare_cavity_field(_shared_params(jobs), drive, f_in.grid)
-    del drive       # free before the decompositions, which allocate per job
-    rows = iter(rows)
-    out = []
+    return _decomposed(f_in, jobs, backend, fock_dim, bare, iter(rows), c_unit)
+
+
+def _decomposed(f_in, jobs, backend, fock_dim, bare, rows, c_unit) -> Iterator[ReflectionResult]:
+    """_reflect_batch's results, one job at a time: a bare job scales
+    c_unit, a coupled one takes the next of `rows`."""
     for (a, st, q), is_bare in zip(jobs, bare):
         c_traj, diags = _bare_row(a * c_unit, backend, fock_dim) if is_bare else next(rows)
         g_out = a * f_in.envelope + math.sqrt(q.kappa) * c_traj
-        out.append(_decompose(f_in, g_out, a, st, q, backend, {"c_trajectory": c_traj, **diags}))
-    return out
+        yield _decompose(f_in, g_out, a, st, q, backend, {"c_trajectory": c_traj, **diags})
 
 
 def reflect_master(
@@ -696,7 +706,7 @@ def reflect_master(
     trace drift and minimum eigenvalue, and as fock_tail the Poisson
     population of the top two Fock levels at the peak |<c>|^2.
     """
-    return _reflect_batch(f_in, [(alpha, state, params)], "master", fock_dim)[0]
+    return next(_reflect_batch(f_in, [(alpha, state, params)], "master", fock_dim))
 
 
 def _analytic_result(
@@ -729,30 +739,40 @@ _RUN_LABELS = ("00", "01", "11")     # 10 mirrors 01
 
 def scatter_batch(
     f_in: Pulse, points, backend: str, fock_dim: int = DEFAULT_FOCK_DIM
-) -> list[dict[str, ReflectionResult]]:
-    """scatter_all_states at each (alpha, params) point.
+) -> Iterator[dict[str, ReflectionResult]]:
+    """scatter_all_states at each (alpha, params) point, as an iterator.
 
     meanfield and master integrate the coupled states (00, 01) of every
     point as one RK4 batch, so the points must share kappa, t1 and
     detuning.  State 11 couples no dipole: its cavity is bare and
     linear, and one exact recurrence serves it at every point (see
     _reflect_batch).  Every backend applies _check_amplitude to each job.
+
+    Each check, and the batch integration, runs at the call; a point's
+    results are built when it is consumed, so a sweep that keeps one point
+    at a time holds one point's output fields, not every point's.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     jobs = [(a, joint_state(lab), p) for a, p in points for lab in _RUN_LABELS]
+    if backend in LINEAR_BACKENDS:      # their kernels, which check too, run as points are consumed
+        for a, _ in points:
+            _check_amplitude(a)
     if backend == "analytic":
-        flat = [_analytic_result(f_in, a, st, p) for a, st, p in jobs]
+        flat = (_analytic_result(f_in, a, st, p) for a, st, p in jobs)
     elif backend == "filter":
-        flat = [reflect_filter_pulse(f_in, st, p, alpha=a) for a, st, p in jobs]
+        flat = (reflect_filter_pulse(f_in, st, p, alpha=a) for a, st, p in jobs)
     else:
         flat = _reflect_batch(f_in, jobs, backend, fock_dim)
-    out = []
-    for i in range(0, len(flat), len(_RUN_LABELS)):
-        res = dict(zip(_RUN_LABELS, flat[i : i + len(_RUN_LABELS)]))
-        res["10"] = replace(res["01"], state=joint_state("10"))
-        out.append(res)
-    return out
+    # zip over one iterator, repeated, takes its items in consecutive groups
+    return map(_with_mirror, zip(*[flat] * len(_RUN_LABELS)))
+
+
+def _with_mirror(results) -> dict[str, ReflectionResult]:
+    """One point's {label: result} from its _RUN_LABELS results; 10 mirrors 01."""
+    res = dict(zip(_RUN_LABELS, results))
+    res["10"] = replace(res["01"], state=joint_state("10"))
+    return res
 
 
 def scatter_all_states(
@@ -763,4 +783,4 @@ def scatter_all_states(
     fock_dim: int = DEFAULT_FOCK_DIM,
 ) -> dict[str, ReflectionResult]:
     """Run one backend for all four joint states; 01 and 10 share a run."""
-    return scatter_batch(f_in, [(alpha, params)], backend, fock_dim)[0]
+    return next(scatter_batch(f_in, [(alpha, params)], backend, fock_dim))

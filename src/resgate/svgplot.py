@@ -31,6 +31,8 @@ def _ticks(lo: float, hi: float) -> list[float]:
     t = first
     while t <= hi + 1e-9 * step:
         out.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:       # a step below half the float spacing at t
+            break
         t += step
     return out or [lo]
 

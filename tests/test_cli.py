@@ -25,7 +25,7 @@ from resgate.cli import (
 from resgate.device import CircuitParams, DeviceParams, ZeemanParams
 from resgate.errors import ConfigError, NumericsError
 from resgate.gate import sweep_photon_number
-from resgate.svgplot import line_chart
+from resgate.svgplot import _ticks, line_chart
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CFG = ROOT / "configs" / "default.cfg"
@@ -146,6 +146,8 @@ def test_config_error_cases(tmp_path):
     # which left reflect still running after 60 s) and each cap + 1
     for old, new, match in (
         ("tau_over_kappa = 10", "tau_over_kappa = 0.01", "2048769 samples"),
+        # a count past 2^53 in three digits, not the 305 of the exact integer
+        ("tau_over_kappa = 10", "tau_over_kappa = 1e-300", r"would hold 2\.05e\+304 samples, more than"),
         ("samples = 0", f"samples = {MAX_GRID_SAMPLES + 1}", str(MAX_GRID_SAMPLES + 1)),
         ("points = 0:22:23", f"points = 0:22:{MAX_SWEEP_POINTS + 1}", str(MAX_SWEEP_POINTS + 1)),
         ("points = 201", f"points = {MAX_LEVELS_POINTS + 1}", str(MAX_LEVELS_POINTS + 1)),
@@ -516,3 +518,32 @@ def test_svg_chart_deterministic():
     for xs, ys in (([-1e307, 1e307], [0.0, 1.0]), ([0.0, 1.0], [float("nan"), 1.0])):
         with pytest.raises(NumericsError, match="a chart coordinate is not finite"):
             line_chart(xs, ys)
+
+
+def test_ticks_stop_when_a_step_makes_no_progress():
+    # a range two ulps wide puts the step below the float spacing, where
+    # t += step left t unchanged and the loop never ended
+    lo = 1e30
+    hi = math.nextafter(math.nextafter(lo, math.inf), math.inf)
+    ticks = _ticks(lo, hi)
+    assert ticks and all(lo <= t <= hi for t in ticks)
+    # ranges whose steps advance keep their ticks
+    assert _ticks(0.0, 1.0) == [0.0, 0.2, 0.4, 0.6000000000000001, 0.8, 1.0]
+    assert _ticks(-3.0, 7.5) == [-2.0, 0.0, 2.0, 4.0, 6.0]
+    assert _ticks(2.0, 2.0) == [2.0]
+
+
+@pytest.mark.parametrize("span", ["2e-8", "3e-8"])
+def test_levels_chart_of_a_gap_a_few_ulps_wide_finishes(tmp_path, span):
+    # the gap varies by one or two ulps over this bias range; levels --plot
+    # used to run until it was killed
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(DEFAULT_CFG.read_text().replace("delta_max_over_T = 50", f"delta_max_over_T = {span}"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "resgate.cli", "levels", "--plot", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "levels.svg").read_text().startswith("<svg")

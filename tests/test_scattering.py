@@ -319,13 +319,13 @@ def test_batch_elements_equal_single_runs(ref, ref_tau):
     # a quarter of the default samples keeps this cheap; both sides share it
     pulse = gaussian_pulse(ref_tau, default_grid(ref_tau, ref.kappa, n_samples=705))
     # meanfield: bit for bit, whatever the batch holds
-    batch = scatter_batch(pulse, [(0.3, ref), (0.6, ref)], backend="meanfield")
+    batch = list(scatter_batch(pulse, [(0.3, ref), (0.6, ref)], backend="meanfield"))
     single = reflect_meanfield(pulse, 0.6, joint_state("01"), ref)
     for key in ("c_trajectory", "peak_excitation", "max_sigma_abs"):
         got = np.asarray(batch[1]["01"].diagnostics[key])
         assert got.tobytes() == np.asarray(single.diagnostics[key]).tobytes(), key
     # master: a batched matrix product may round differently, nothing more
-    batch = scatter_batch(pulse, [(0.05, ref), (0.1, ref)], backend="master", fock_dim=4)
+    batch = list(scatter_batch(pulse, [(0.05, ref), (0.1, ref)], backend="master", fock_dim=4))
     single = reflect_master(pulse, 0.1, joint_state("00"), ref, fock_dim=4)
     np.testing.assert_allclose(
         batch[1]["00"].diagnostics["c_trajectory"], single.diagnostics["c_trajectory"],
@@ -392,6 +392,25 @@ def test_batch_rejects_mixed_devices(ref, ref_pulse):
     other = dataclasses.replace(ref, kappa=2 * ref.kappa)
     with pytest.raises(ValueError, match="share"):
         scatter_batch(ref_pulse, [(0.3, ref), (0.3, other)], backend="meanfield")
+
+
+def test_scatter_batch_refuses_at_the_call(ref, ref_pulse):
+    # the results come one point at a time, as they are consumed; every
+    # refusal still comes from the call itself, with nothing consumed
+    coarse = gaussian_pulse(10.0 / ref.kappa, default_grid(10.0 / ref.kappa, ref.kappa, n_samples=9))
+    cases = [
+        ((ref_pulse, [(0.3, ref)], "exact"), ValueError, "unknown backend"),
+        ((ref_pulse, [(0.3, ref), (0.3, dataclasses.replace(ref, t1=2 * ref.t1))], "master"),
+         ValueError, "share"),
+        ((ref_pulse, [(0.3, ref), (20.0, ref)], "master"), ValueError, "sizing heuristic"),
+        ((coarse, [(0.3, ref)], "master"), NumericsError, "trace drifted"),
+    ] + [
+        ((ref_pulse, [(0.3, ref), (1e-320, ref)], backend), ValueError, "finite and nonzero")
+        for backend in ("analytic", "filter", "meanfield", "master")
+    ]
+    for args, error, match in cases:
+        with np.errstate(all="ignore"), pytest.raises(error, match=match):
+            scatter_batch(*args, fock_dim=4)
 
 
 def test_master_close_to_meanfield_at_half_photon(master_half_runs, meanfield_ref_runs):
@@ -563,3 +582,37 @@ def test_linear_backends_share_the_amplitude_rule(ref, ref_pulse, backend, alpha
             reflect_filter_pulse(ref_pulse, joint_state("01"), ref, alpha=alpha)
         else:
             _analytic_result(ref_pulse, alpha, joint_state("01"), ref)
+
+
+def _metrics(ref, backend, scale=1.0, sign=1.0):
+    """{label: (eps, eta, phase)} at alpha 0.5 on a 400-sample grid, with
+    g, kappa, the detuning (0.3 kappa) and 1/T1 times `scale` and the
+    detuning times `sign`; tau kappa stays 10."""
+    p = dataclasses.replace(
+        ref, g_coupling=scale * ref.g_coupling, kappa=scale * ref.kappa,
+        detuning=sign * scale * 0.3 * ref.kappa, t1=ref.t1 / scale,
+    )
+    tau = 10.0 / p.kappa
+    pulse = gaussian_pulse(tau, default_grid(tau, p.kappa, n_samples=400))
+    out = scatter_all_states(pulse, 0.5, p, backend=backend, fock_dim=8)
+    return {lab: (r.epsilon, r.eta, r.phase) for lab, r in out.items()}
+
+
+def _assert_same(got, want):
+    for lab in STATE_LABELS:
+        for x, y in zip(got[lab], want[lab]):
+            assert abs(x - y) <= 1e-12 * abs(y) + 1e-14, (lab, x, y)
+
+
+@pytest.mark.parametrize("backend", ["filter", "meanfield", "master"])
+def test_reflection_invariant_under_rate_scaling_and_detuning_mirror(ref, backend):
+    # eps, eta and the phase are dimensionless: scaling every rate (and so
+    # the time grid) leaves them alone up to rounding.  The charge sits on
+    # resonance and the envelope is real, so D -> -D conjugates the output
+    # field: the phase changes sign, eps and eta stay
+    base = _metrics(ref, backend)
+    for scale in (10.0, 0.37):
+        _assert_same(_metrics(ref, backend, scale=scale), base)
+    mirror = _metrics(ref, backend, sign=-1.0)
+    _assert_same({lab: (eps, eta, -phase) for lab, (eps, eta, phase) in mirror.items()}, base)
+    assert all(abs(phase) > 1e-3 for _, _, phase in base.values())     # the mirror is not trivial
