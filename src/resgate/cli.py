@@ -10,6 +10,11 @@ be written included), 3 numerical-contract failure (passivity, trace drift,
 invalid sweep values, a floating-point overflow, division by zero or invalid
 operation, a non-finite CSV value or chart coordinate).  No run ends in a
 traceback.
+
+A command returns its files, rendered and checked, and its lines; `main`
+alone writes them, so every file is checked before the first is written and
+a failed check writes none.  The limit: an OS error while writing (say, a
+directory named reflect_01.csv in --out) exits 2 after the files before it.
 """
 
 from __future__ import annotations
@@ -264,11 +269,15 @@ def load_config(path: str | Path) -> RunConfig:
     return RunConfig(device=device, **run)
 
 
-def _write_rows(path: Path, header, rows) -> None:
-    """The one CSV writer: the header line, then one line per row with its
-    numbers at 12 significant digits.  `rows` is a 2-D array of numbers or
-    a sequence of rows of one column layout, which may hold strings.  A
-    non-finite number fails the run before the file is opened."""
+# a command's files as (path, text), CSVs first; its stdout lines; one stderr warning or None
+Output = tuple[list[tuple[Path, str]], list[str], str | None]
+
+
+def _csv(path: Path, header, rows) -> tuple[Path, str]:
+    """(path, text) of one CSV: the header line, then one line per row with
+    its numbers at 12 significant digits.  `rows` is a 2-D array of numbers
+    or a sequence of rows of one column layout, which may hold strings.  A
+    non-finite number raises NumericsError."""
     rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
     words = [isinstance(v, str) for v in rows[0]] if rows else []
     line = ",".join("{}" if word else "{:.12g}" for word in words).format
@@ -280,9 +289,13 @@ def _write_rows(path: Path, header, rows) -> None:
         bad = [text for text in lines if "n" in text]
     if bad:
         raise NumericsError(f"{path.name} would hold a non-finite value: {bad[0]}")
-    path.parent.mkdir(parents=True, exist_ok=True)
+    return path, "\n".join([",".join(header), *lines, ""])
+
+
+def _write_rows(path: Path, text: str) -> None:
+    """Write the text of a CSV that _csv rendered."""
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join([",".join(header), *lines, ""]))
+        fh.write(text)
 
 
 def _named(name: str, fn, *args, **kwargs):
@@ -295,12 +308,11 @@ def _named(name: str, fn, *args, **kwargs):
 
 
 def _chart(path: Path, xs, ys, **labels) -> tuple[Path, str]:
-    """(path, SVG text) of one chart.  A command renders its charts before it
-    writes any file and saves them last, so a chart that fails leaves none."""
+    """(path, SVG text) of one chart."""
     return path, _named(path.name, line_chart, xs, ys, **labels)
 
 
-def cmd_levels(cfg: RunConfig, plot: bool) -> int:
+def cmd_levels(cfg: RunConfig, plot: bool) -> Output:
     t = cfg.device.tunneling
     if t == 0:
         raise ConfigError("[device] tunneling_over_2pi_MHz must be nonzero for levels")
@@ -316,11 +328,8 @@ def cmd_levels(cfg: RunConfig, plot: bool) -> int:
     charts = [_chart(cfg.output_dir / "levels.svg", deltas, gap, title="charge gap vs bias",
                      x_label="delta (rad/s)", y_label="gap (rad/s)")] if plot else []
     out = cfg.output_dir / "levels.csv"
-    _write_rows(out, columns, np.column_stack(list(columns.values())))
-    for chart in charts:
-        save_chart(*chart)
-    print(f"wrote {out} ({len(deltas)} rows); min gap {gap.min():.12g} rad/s")
-    return 0
+    return ([_csv(out, columns, np.column_stack(list(columns.values()))), *charts],
+            [f"wrote {out} ({len(deltas)} rows); min gap {gap.min():.12g} rad/s"], None)
 
 
 def _run_backend(cfg: RunConfig, fn, *args, **kwargs):
@@ -328,7 +337,7 @@ def _run_backend(cfg: RunConfig, fn, *args, **kwargs):
     return _named(f"backend {cfg.backend}", fn, *args, backend=cfg.backend, fock_dim=cfg.fock_dim, **kwargs)
 
 
-def cmd_reflect(cfg: RunConfig, plot: bool) -> int:
+def cmd_reflect(cfg: RunConfig, plot: bool) -> Output:
     alpha = cfg.sweep_alpha
     _as_config("[sweep] alpha:", _check_amplitude, alpha)
     f_in = _default_pulse(cfg.device, cfg.tau, cfg.samples)
@@ -340,12 +349,13 @@ def cmd_reflect(cfg: RunConfig, plot: bool) -> int:
     charts = [_chart(cfg.output_dir / f"reflect_{label}.svg", times, np.abs(g_out) ** 2,
                      title=f"reflected power, state {label}", x_label="t (s)", y_label="|g_out|^2")
               for label, g_out in g_outs.items()] if plot else []
-    summary = []
+    files, summary = [], []
     for label, g_out in g_outs.items():
         r = results[label]
         trace = {"time_s": times, "in_re": g_in.real, "in_im": g_in.imag,
                  "out_re": g_out.real, "out_im": g_out.imag}
-        _write_rows(cfg.output_dir / f"reflect_{label}.csv", trace, np.column_stack(list(trace.values())))
+        files.append(_csv(cfg.output_dir / f"reflect_{label}.csv", trace,
+                          np.column_stack(list(trace.values()))))
         xi_eff = xi_effective(r)
         summary.append({
             "state": label,
@@ -360,23 +370,14 @@ def cmd_reflect(cfg: RunConfig, plot: bool) -> int:
             "backend": r.backend,
         })
     out = cfg.output_dir / "reflect_summary.csv"
-    _write_rows(out, summary[0], (record.values() for record in summary))
-    for chart in charts:
-        save_chart(*chart)
-    print(f"wrote {out}")
-    for record in summary:
-        print(
-            "  state {state}: xi_eff = {xi_eff_re:+.6f}{xi_eff_im:+.6f}j"
-            "  eps = {epsilon:.4g}  eta = {eta:.4g}  phase = {phase_rad:+.4f}".format(**record)
-        )
+    files.append(_csv(out, summary[0], (record.values() for record in summary)))
+    line = ("  state {state}: xi_eff = {xi_eff_re:+.6f}{xi_eff_im:+.6f}j"
+            "  eps = {epsilon:.4g}  eta = {eta:.4g}  phase = {phase_rad:+.4f}").format
+    lines = [f"wrote {out}", *(line(**record) for record in summary)]
     flagged = [lab for lab in STATE_LABELS if results[lab].diagnostics.get("unreliable")]
-    if flagged:
-        print(
-            f"warning: {len(flagged)} of {len(STATE_LABELS)} states ({', '.join(flagged)}) "
-            f"outside the validity range of the {cfg.backend} backend",
-            file=sys.stderr,
-        )
-    return 0
+    warning = (f"warning: {len(flagged)} of {len(STATE_LABELS)} states ({', '.join(flagged)}) "
+               f"outside the validity range of the {cfg.backend} backend") if flagged else None
+    return files + charts, lines, warning
 
 
 def _fidelity_row(p) -> list[float]:
@@ -387,7 +388,7 @@ def _fidelity_row(p) -> list[float]:
     return [values[col] for col in FIDELITY_COLUMNS]
 
 
-def cmd_fidelity(cfg: RunConfig, plot: bool) -> int:
+def cmd_fidelity(cfg: RunConfig, plot: bool) -> Output:
     if cfg.sweep_kind == "photon":
         sweep, args, x_label = sweep_photon_number, (), "mean photon number |alpha|^2"
     else:
@@ -399,24 +400,17 @@ def cmd_fidelity(cfg: RunConfig, plot: bool) -> int:
                      [p.fidelity for p in points], title="gate fidelity", x_label=x_label,
                      y_label="F")] if plot else []
     out = cfg.output_dir / "fidelity.csv"
-    _write_rows(out, FIDELITY_COLUMNS, map(_fidelity_row, points))
-    for chart in charts:
-        save_chart(*chart)
-    print(f"wrote {out} ({len(points)} rows)")
     flagged = sum(p.unreliable for p in points)
-    if flagged:
-        print(
-            f"warning: {flagged} of {len(points)} points have a state outside the "
-            f"validity range of the {cfg.backend} backend",
-            file=sys.stderr,
-        )
-    return 0
+    warning = (f"warning: {flagged} of {len(points)} points have a state outside the "
+               f"validity range of the {cfg.backend} backend") if flagged else None
+    return ([_csv(out, FIDELITY_COLUMNS, map(_fidelity_row, points)), *charts],
+            [f"wrote {out} ({len(points)} rows)"], warning)
 
 
-def cmd_regime(cfg: RunConfig, plot: bool) -> int:
+def cmd_regime(cfg: RunConfig, plot: bool) -> Output:
     d = cfg.device
     two_pi = 2 * math.pi
-    lines = []      # printed once every quantity is computed: a fault prints none
+    lines = []
     say = lines.append
     # ahead of validate_regime, which evaluates it too, so that its fault is named
     if d.circuit is not None:
@@ -467,8 +461,7 @@ def cmd_regime(cfg: RunConfig, plot: bool) -> int:
 
     say(f"  gate time (one pulse, tau) = {cfg.tau * 1e9:.4g} ns vs T1 = {d.t1 * 1e9:.4g} ns")
     say("  alternate duration figure: ~100 ns (does not follow from tau*kappa; listed for comparison)")
-    print("\n".join(lines))
-    return 0
+    return [], lines, None
 
 
 _DISPATCH = {
@@ -503,16 +496,22 @@ def main(argv=None) -> int:
                 cfg.backend = args.backend
             if args.out:
                 cfg.output_dir = Path(args.out)
-            return _DISPATCH[args.command](cfg, args.plot)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:      # an output path that cannot be made or written
+            files, lines, warning = _DISPATCH[args.command](cfg, args.plot)
+        if files:
+            cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        for path, text in files:
+            # perfbench's tracer wraps these two writers by name and reads the file at their path
+            (_write_rows if path.suffix == ".csv" else save_chart)(path, text)
+    except (ConfigError, OSError) as exc:      # OSError: an output path that cannot be made or written
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericsError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    print(*lines, sep="\n")
+    if warning:
+        print(warning, file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

@@ -21,10 +21,10 @@ def _fmt(x: float) -> str:
 
 def _ticks(lo: float, hi: float) -> list[float]:
     """About five round-valued ticks covering [lo, hi]."""
-    if hi <= lo:
-        return [lo]
     raw = (hi - lo) / 5
-    mag = 10.0 ** math.floor(math.log10(raw))
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 0.0
+    if mag == 0:        # hi <= lo, or a range of a few subnormal ulps whose step underflows
+        return [lo]
     step = min((s for s in (1.0, 2.0, 2.5, 5.0, 10.0)), key=lambda s: abs(s * mag - raw)) * mag
     first = math.ceil(lo / step) * step
     out = []

@@ -18,7 +18,7 @@ from resgate.cli import (
     MAX_LEVELS_POINTS,
     MAX_SWEEP_POINTS,
     RunConfig,
-    _write_rows,
+    _csv,
     load_config,
     main,
 )
@@ -298,26 +298,23 @@ def test_csv_writer_formats_as_cell_by_cell(tmp_path):
     values[0] = [-0.0, 0.0, 1.0, -3.0, 1e3]
     header = ["a", "b", "c", "d", "e"]
     path = tmp_path / "rows.csv"
-    _write_rows(path, header, values)
-    assert path.read_text() == _cell_by_cell(header, values)
+    assert _csv(path, header, values) == (path, _cell_by_cell(header, values))
 
     # a sequence of rows: integers and numpy scalars as cells
     rows = [[3, -7, 0, 12345678901234, np.float64(-0.0)],
             [np.float64(x) for x in values[1]], [2**60, 1, -1, 10, 100]]
-    _write_rows(path, header, rows)
-    assert path.read_text() == _cell_by_cell(header, rows)
+    assert _csv(path, header, rows) == (path, _cell_by_cell(header, rows))
 
     # rows that hold strings, as the reflect summary does
     summary = [["00", 0.998265394623, -0.0, 3, np.float64(1e-12), "meanfield"],
                ["11", -1.0, 2.5e-7, -4, np.float64(123.456789012345), "master"]]
     head = ["state", "xi", "re", "im", "eps", "backend"]
-    _write_rows(path, head, summary)
-    assert path.read_text() == _cell_by_cell(head, summary)
+    assert _csv(path, head, summary) == (path, _cell_by_cell(head, summary))
+    assert not path.exists()
 
 
 def test_csv_writer_refuses_non_finite_values(tmp_path):
-    # the check runs before the file is opened: no partial CSV is left.  A
-    # row of numbers and a row that holds words ("meanfield" holds an n)
+    # a row of numbers and a row that holds words ("meanfield" holds an n)
     # are checked in different ways; both give one message
     path = tmp_path / "rows.csv"
     for bad, text in ((float("nan"), "nan"), (float("inf"), "inf"), (-np.inf, "-inf")):
@@ -327,9 +324,38 @@ def test_csv_writer_refuses_non_finite_values(tmp_path):
             ([["00", 1.0, "meanfield"], ["11", bad, "meanfield"]], f"11,{text},meanfield"),
         ):
             with pytest.raises(NumericsError) as err:
-                _write_rows(path, ["a", "b", "c"][: len(rows[0])], rows)
+                _csv(path, ["a", "b", "c"][: len(rows[0])], rows)
             assert str(err.value) == f"rows.csv would hold a non-finite value: {line}"
-            assert not path.exists()
+
+
+def test_a_late_check_writes_no_file(tmp_path, capsys, monkeypatch):
+    # the summary is checked after the four trace CSVs are rendered; a
+    # non-finite value there used to leave reflect_00.csv to reflect_11.csv
+    monkeypatch.setattr("resgate.cli.xi_effective", lambda r: complex(math.nan, 0))
+    out = tmp_path / "out"
+    args = ["reflect", "--backend", "analytic", "--config", str(DEFAULT_CFG), "--out", str(out)]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    err = "numerical failure: reflect_summary.csv would hold a non-finite value: "
+    assert captured.err.startswith(err) and captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, files", [
+    ("levels --plot", {"levels.csv", "levels.svg"}),
+    ("reflect --plot", {"reflect_summary.csv"}
+     | {f"reflect_{s}.{ext}" for s in ("00", "01", "10", "11") for ext in ("csv", "svg")}),
+    ("fidelity --plot", {"fidelity.csv", "fidelity.svg"}),
+    ("regime", set()),
+])
+def test_each_command_writes_its_files(tmp_path, capsys, args, files):
+    out = tmp_path / "X"
+    assert main([*args.split(), "--backend", "filter", "--config", str(DEFAULT_CFG), "--out", str(out)]) == 0
+    if files:
+        assert {p.name for p in out.iterdir()} == files
+    else:
+        assert not out.exists()
 
 
 def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys):
@@ -531,6 +557,11 @@ def test_ticks_stop_when_a_step_makes_no_progress():
     assert _ticks(0.0, 1.0) == [0.0, 0.2, 0.4, 0.6000000000000001, 0.8, 1.0]
     assert _ticks(-3.0, 7.5) == [-2.0, 0.0, 2.0, 4.0, 6.0]
     assert _ticks(2.0, 2.0) == [2.0]
+    # a range of a few subnormal ulps, whose step underflows, is flat: these
+    # raised ValueError (math domain error) and ZeroDivisionError
+    for hi in (5e-324, 1e-323, 2e-323):
+        assert _ticks(0.0, hi) == [0.0]
+    assert line_chart([0, 1, 2], [0.0, 5e-324, 0.0]).startswith("<svg")
 
 
 @pytest.mark.parametrize("span", ["2e-8", "3e-8"])

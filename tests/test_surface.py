@@ -9,7 +9,7 @@ import inspect
 from pathlib import Path
 
 import resgate
-from resgate import scattering
+from resgate import cli, scattering, svgplot
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -61,3 +61,16 @@ def test_traced_names_resolve_and_public_names_pinned():
         sig = inspect.signature(fn).parameters
         assert list(sig) == params, fn.__name__
         assert all(q.kind is q.POSITIONAL_OR_KEYWORD and q.default is q.empty for q in sig.values())
+
+
+def test_traced_cli_signatures():
+    # the benchmark's census calls cmd_levels(cfg, True), and its tracer
+    # reads the file at the first argument of the two writers
+    for fn in (cli.cmd_levels, cli.cmd_reflect, cli.cmd_fidelity, cli.cmd_regime):
+        sig = inspect.signature(fn).parameters
+        assert list(sig) == ["cfg", "plot"], fn.__name__
+        assert all(q.kind is q.POSITIONAL_OR_KEYWORD and q.default is q.empty for q in sig.values())
+    assert list(cli._DISPATCH.values()) == [cli.cmd_levels, cli.cmd_reflect, cli.cmd_fidelity, cli.cmd_regime]
+    for fn in (cli._write_rows, svgplot.save_chart):
+        first = next(iter(inspect.signature(fn).parameters.values()))
+        assert first.name == "path" and first.kind is first.POSITIONAL_OR_KEYWORD, fn.__name__
