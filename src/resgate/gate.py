@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 from .device import DeviceParams
 from .errors import NumericsError
 from .pulse import Pulse, default_grid, gaussian_pulse
-from .scattering import (DEFAULT_FOCK_DIM, LINEAR_BACKENDS, STATE_LABELS, ReflectionResult,
-                         _check_amplitude, scatter_all_states, scatter_batch)
+from .scattering import DEFAULT_FOCK_DIM, STATE_LABELS, ReflectionResult, scatter_all_states, scatter_batch
 
 
 @dataclass
@@ -100,10 +99,7 @@ class FidelityPoint:
 
 
 def _per_state_triples(results: dict[str, ReflectionResult]) -> dict[str, tuple[float, float, float]]:
-    return {
-        label: (_xi_folded(results[label]), results[label].epsilon, results[label].eta)
-        for label in STATE_LABELS
-    }
+    return {lab: (_xi_folded(results[lab]), results[lab].epsilon, results[lab].eta) for lab in STATE_LABELS}
 
 
 def _point(x_value: float, alpha: complex, results: dict[str, ReflectionResult]) -> FidelityPoint:
@@ -117,8 +113,7 @@ def _point(x_value: float, alpha: complex, results: dict[str, ReflectionResult])
 
 
 def _zero_point(f_in: Pulse, params: DeviceParams) -> FidelityPoint:
-    # the zero-amplitude gate is exact; reuse the analytic records to keep
-    # the per-state columns meaningful
+    # the zero-amplitude gate is exact; the analytic records fill its per-state columns
     ideal = scatter_all_states(f_in, 1.0, params, backend="analytic")
     return FidelityPoint(0.0, 1.0, _per_state_triples(ideal), input_mean_photon(0.0))
 
@@ -140,29 +135,12 @@ def sweep_photon_number(
     """Fidelity versus input amplitude at fixed pulse duration.
 
     The pulse is sampled on default_grid(tau, kappa, n_samples): the
-    automatic grid unless n_samples is given.
-
-    For the linear backends (analytic, filter) the scattering problem is
-    amplitude-independent, so it is solved once and only the fidelity
-    formula is re-evaluated per point.  meanfield and master integrate
-    every amplitude and state as one batch.
+    automatic grid unless n_samples is given.  The nonzero amplitudes are
+    one scatter_batch call; alpha = 0 is the exact point of unit fidelity.
     """
     f_in = _default_pulse(params, tau, n_samples)
     alphas = [complex(a) for a in alphas]
-    driven = [a for a in alphas if a != 0]
-    if backend in LINEAR_BACKENDS:
-        for a in driven:
-            _check_amplitude(a)      # the rescaled amplitudes reach no kernel
-        shared = scatter_all_states(f_in, 1.0, params, backend=backend)
-        runs = (
-            {
-                lab: replace(r, alpha_in=a, alpha_out=a * (r.alpha_out / r.alpha_in))
-                for lab, r in shared.items()
-            }
-            for a in driven
-        )
-    else:
-        runs = scatter_batch(f_in, [(a, params) for a in driven], backend, fock_dim)
+    runs = scatter_batch(f_in, [(a, params) for a in alphas if a != 0], backend, fock_dim)
     return [
         _zero_point(f_in, params) if a == 0 else _point(abs(a) ** 2, a, next(runs))
         for a in alphas

@@ -162,14 +162,22 @@ def xi_effective(result: ReflectionResult) -> complex:
     return (1.0 - result.epsilon) * result.alpha_out / result.alpha_in
 
 
+# Smallest |alpha|^2 a reflection accepts.  _decompose sums |alpha|^2 w_k,
+# w_k = |f_k|^2 dt: f is normalised, so the w_k are dimensionless and sum to
+# 1 on any grid.  On n samples the terms that can move the sum have w_k >=
+# 2^-53/n (1.1e-21 at the CLI's 100,000), so from this floor they, and each
+# |alpha f_k|^2 for dt up to 1 s, stay above 1e-301, clear of the subnormals
+# (< 2.2e-308) that move filter's eps and eta by 5e-3 and 7e-2 at 1e-318.
+MIN_ALPHA_SQUARED = 1e-280
+
+
 def _check_amplitude(alpha: complex) -> None:
     """The amplitude rule of every reflection: _decompose divides by |alpha|^2
-    and takes the phase relative to alpha, so |alpha|^2 must be finite and
-    nonzero.  Float products round it to inf at 1e300 and to 0 at 1e-320;
-    ** would raise past about 1.3e154."""
+    and takes the phase relative to alpha, so |alpha|^2 must be finite and at
+    least MIN_ALPHA_SQUARED.  Float products round it to inf at 1e300, where ** raises."""
     a = complex(alpha)
-    if not 0.0 < a.real * a.real + a.imag * a.imag < math.inf:
-        raise ValueError(f"|alpha|^2 must be finite and nonzero, alpha = {alpha}")
+    if not MIN_ALPHA_SQUARED <= a.real * a.real + a.imag * a.imag < math.inf:
+        raise ValueError(f"|alpha|^2 must be finite and nonzero (>= {MIN_ALPHA_SQUARED:g}), alpha = {alpha}")
 
 
 def _decompose(
@@ -188,9 +196,7 @@ def _decompose(
     energy = float(np.trapezoid(np.abs(g_out) ** 2, dx=dt))
     e_ratio = energy / abs(alpha) ** 2
     if e_ratio > 1.0 + PASSIVITY_SLACK:
-        raise NumericsError(
-            f"output energy ratio {e_ratio:.9f} exceeds unity: passivity violated"
-        )
+        raise NumericsError(f"output energy ratio {e_ratio:.9f} exceeds unity: passivity violated")
     eta = min(1.0, max(0.0, 1.0 - e_ratio))
     if energy == 0:
         raise NumericsError("zero output field; cannot decompose")
@@ -199,8 +205,8 @@ def _decompose(
     if abs(ov) > 1.0 + PASSIVITY_SLACK:
         raise NumericsError(f"mode overlap {abs(ov):.9f} exceeds unity")
     epsilon = max(0.0, 1.0 - abs(ov))
-    phi = cmath.phase(ov)
-    alpha_out = alpha * math.sqrt(e_ratio) * cmath.exp(1j * phi)
+    phi = cmath.phase(ov)       # g_out carries alpha's phase, so phi does too
+    alpha_out = abs(alpha) * math.sqrt(e_ratio) * cmath.exp(1j * phi)
     return ReflectionResult(
         state=state,
         xi=complex(xi_analytic(state, params.g_coupling, params.kappa, params.t1)),
@@ -700,11 +706,8 @@ def reflect_master(
 ) -> ReflectionResult:
     """Density-matrix reflection; the reference backend at small alpha.
 
-    A dipole-free state (g_eff = 0) leaves a coherent cavity field and the
-    charge in its ground state, so its <c> comes from _bare_cavity_field
-    as in meanfield.  Its diagnostics are those of that exact state: zero
-    trace drift and minimum eigenvalue, and as fock_tail the Poisson
-    population of the top two Fock levels at the peak |<c>|^2.
+    A dipole-free state (g_eff = 0) takes the exact bare-cavity field of
+    _bare_cavity_field, as in meanfield, and the diagnostics of _bare_row.
     """
     return next(_reflect_batch(f_in, [(alpha, state, params)], "master", fock_dim))
 
@@ -716,7 +719,8 @@ def _analytic_result(
 
     eta is zero by definition here even though |xi| < 1; the analytic
     picture treats the steady-state amplitude as the whole story, which
-    is exactly what the closed-form gate fidelity assumes.
+    is exactly what the closed-form gate fidelity assumes.  f_out is f_in
+    turned to the phase of xi alpha, taking xi = 0 as positive.
     """
     _check_amplitude(alpha)
     xi = xi_analytic(state, params.g_coupling, params.kappa, params.t1)
@@ -726,7 +730,7 @@ def _analytic_result(
         xi=complex(xi),
         alpha_in=alpha,
         alpha_out=xi * alpha,
-        f_out=Pulse(f_in.grid, sign * f_in.envelope),
+        f_out=Pulse(f_in.grid, sign * (alpha / abs(alpha)) * f_in.envelope),
         epsilon=0.0,
         eta=0.0,
         backend="analytic",
@@ -742,30 +746,44 @@ def scatter_batch(
 ) -> Iterator[dict[str, ReflectionResult]]:
     """scatter_all_states at each (alpha, params) point, as an iterator.
 
-    meanfield and master integrate the coupled states (00, 01) of every
-    point as one RK4 batch, so the points must share kappa, t1 and
-    detuning.  State 11 couples no dipole: its cavity is bare and
-    linear, and one exact recurrence serves it at every point (see
-    _reflect_batch).  Every backend applies _check_amplitude to each job.
+    analytic and filter scatter once for each run of points on one device
+    and rescale (see _linear_points).  meanfield and master integrate the
+    coupled states (00, 01) of every point as one RK4 batch, so the points
+    must share kappa, t1 and detuning; state 11's bare cavity takes one
+    exact recurrence at every point (see _reflect_batch).
 
-    Each check, and the batch integration, runs at the call; a point's
-    results are built when it is consumed, so a sweep that keeps one point
-    at a time holds one point's output fields, not every point's.
+    Every check (_check_amplitude of each point too) and the batch
+    integration run at the call; a point's results are built as it is
+    consumed, so a sweep holds one point's output fields at a time.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    jobs = [(a, joint_state(lab), p) for a, p in points for lab in _RUN_LABELS]
-    if backend in LINEAR_BACKENDS:      # their kernels, which check too, run as points are consumed
+    if backend in LINEAR_BACKENDS:      # most points reach no kernel: check them at the call
         for a, _ in points:
             _check_amplitude(a)
-    if backend == "analytic":
-        flat = (_analytic_result(f_in, a, st, p) for a, st, p in jobs)
-    elif backend == "filter":
-        flat = (reflect_filter_pulse(f_in, st, p, alpha=a) for a, st, p in jobs)
-    else:
-        flat = _reflect_batch(f_in, jobs, backend, fock_dim)
+        return _linear_points(f_in, points, backend)
+    jobs = [(a, joint_state(lab), p) for a, p in points for lab in _RUN_LABELS]
+    flat = _reflect_batch(f_in, jobs, backend, fock_dim)
     # zip over one iterator, repeated, takes its items in consecutive groups
     return map(_with_mirror, zip(*[flat] * len(_RUN_LABELS)))
+
+
+def _linear_points(f_in: Pulse, points, backend: str) -> Iterator[dict[str, ReflectionResult]]:
+    """A linear backend's results at each (alpha, params) point: scatter_all_states
+    where the device differs from the last point's, else its records rescaled:
+    the amplitudes scale and f_out turns with alpha's phase, as a kernel call at
+    alpha would give them up to rounding; epsilon, eta and the phase stay."""
+    device = shared = None
+    for a, p in points:
+        if p != device:
+            device, shared = p, scatter_all_states(f_in, a, p, backend)
+        yield {lab: r if r.alpha_in == a else _rescaled(r, a) for lab, r in shared.items()}
+
+
+def _rescaled(r: ReflectionResult, alpha: complex) -> ReflectionResult:
+    turn = (alpha / abs(alpha)) / (r.alpha_in / abs(r.alpha_in))
+    return replace(r, alpha_in=alpha, alpha_out=alpha * (r.alpha_out / r.alpha_in),
+                   f_out=Pulse(r.f_out.grid, turn * r.f_out.envelope))
 
 
 def _with_mirror(results) -> dict[str, ReflectionResult]:
@@ -783,4 +801,8 @@ def scatter_all_states(
     fock_dim: int = DEFAULT_FOCK_DIM,
 ) -> dict[str, ReflectionResult]:
     """Run one backend for all four joint states; 01 and 10 share a run."""
+    if backend in LINEAR_BACKENDS:
+        kernel = _analytic_result if backend == "analytic" else reflect_filter_pulse
+        return _with_mirror([kernel(f_in, alpha=alpha, state=joint_state(lab), params=params)
+                             for lab in _RUN_LABELS])
     return next(scatter_batch(f_in, [(alpha, params)], backend, fock_dim))

@@ -1,15 +1,28 @@
 from __future__ import annotations
 
 import dataclasses
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from _oracles import master_run
 from resgate.device import reference_device
 from resgate.pulse import TimeGrid, default_grid, gaussian_pulse
 from resgate.qmath import DensityMatrix, HilbertSpace
 from resgate.scattering import scatter_all_states, scatter_batch
+
+
+def pytest_configure(config):
+    # hypothesis writes the constants it finds in the code under test (at
+    # collection) and, on a failure, a patch under its home directory,
+    # ./.hypothesis by default, whatever a test's database setting: give it
+    # a temporary one for the session
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(home)
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
 
 
 @pytest.fixture(scope="session")

@@ -121,6 +121,13 @@ def test_config_error_cases(tmp_path):
         with pytest.raises(ConfigError, match="finite"):
             load_config(nonfinite)
 
+    # a photon-sweep point whose |alpha|^2 (1e-320) is below the amplitude
+    # floor: meanfield used to run it and exit 0 with eps_00 off by 14 %
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text(DEFAULT_CFG.read_text().replace("points = 0:22:23", "points = 1e-160"))
+    with pytest.raises(ConfigError, match=r"\[sweep\] points: \|alpha\|\^2 must be finite and nonzero \(>= 1e-280\)"):
+        load_config(tiny)
+
     # a coupling sweep at zero amplitude has no reflected field to decompose
     zero = tmp_path / "zero.cfg"
     zero.write_text(
@@ -171,6 +178,7 @@ _MESSAGES = {
     "g_factor = 1e-320": "spin dephasing estimate: ",
     "gradient_field_mT = 1e-320": "spin dephasing estimate: ",
     "points = -1e308:1e308:3": "[sweep] points = ",
+    "points = 1e-160": "[sweep] points: |alpha|^2 must be finite and nonzero (>= 1e-280), alpha = 1e-160",
     "relaxation_rate_over_2pi_MHz = 1e-320": "[device] t1 ",
     "length_m = -1": "[circuit] length_L must be positive",
     "coupling_ratio = 2": "[circuit] coupling_ratio_v must lie in (0, 1]",
@@ -198,6 +206,8 @@ _MESSAGES = {
     ("reflect", "alpha = 20", "alpha = 1e300", 2),
     ("reflect", "alpha = 20", "alpha = -1e300", 2),
     ("fidelity", "points = 0:22:23", "points = 0:1e308:3", 2),
+    # |alpha|^2 = 1e-320, nonzero but below the amplitude floor
+    ("fidelity --backend meanfield", "points = 0:22:23", "points = 1e-160", 2),
     # a sweep range whose span overflows (it used to exit 3 from linspace)
     ("fidelity", "points = 0:22:23", "points = -1e308:1e308:3", 2),
     # a T1 that overflows to inf (s = inf used to pass the regime checks)
@@ -410,6 +420,41 @@ def test_reflect_analytic_summary(tmp_path):
     assert float(by_state["00"][header.index("xi_analytic")]) == pytest.approx(1151 / 1153)
     for lab in ("00", "01", "10", "11"):
         assert (tmp_path / f"reflect_{lab}.csv").is_file()
+
+
+@pytest.mark.parametrize("backend", ["analytic", "filter"])
+def test_reflect_at_minus_alpha_negates_the_fields(tmp_path, capsys, backend):
+    # the reflection depends on |alpha| alone: at alpha = -1 every summary
+    # number is that of +1, the phase modulo 2 pi and alpha_out, which scales
+    # with alpha, negated; every in/out trace column is negated.  analytic's
+    # out_re used to keep its sign, and both phases were pi off
+    outs = {}
+    for alpha in ("1", "-1"):
+        cfg = tmp_path / f"alpha{alpha}.cfg"
+        cfg.write_text(DEFAULT_CFG.read_text().replace("alpha = 20", f"alpha = {alpha}"))
+        outs[alpha] = tmp_path / f"out{alpha}"
+        assert main(["reflect", "--config", str(cfg), "--backend", backend, "--out", str(outs[alpha])]) == 0
+    capsys.readouterr()
+
+    def table(alpha, name):
+        header, rows = _read_csv(outs[alpha] / name)
+        return {col: np.array(values) for col, values in zip(header, zip(*rows))}
+
+    plus, minus = table("1", "reflect_summary.csv"), table("-1", "reflect_summary.csv")
+    assert list(plus["state"]) == list(minus["state"]) and list(plus["backend"]) == list(minus["backend"])
+    for col in ("xi_analytic", "xi_eff_re", "xi_eff_im", "epsilon", "eta"):
+        assert np.allclose(minus[col].astype(float), plus[col].astype(float), rtol=1e-11, atol=1e-15), col
+    # +pi and -pi, each printed to 12 digits, differ by 2 pi to 4e-13
+    turn = np.exp(1j * (minus["phase_rad"].astype(float) - plus["phase_rad"].astype(float)))
+    assert np.allclose(turn, 1.0, rtol=0, atol=1e-11)
+    for col in ("alpha_out_re", "alpha_out_im"):
+        assert np.allclose(minus[col].astype(float), -plus[col].astype(float), rtol=1e-11, atol=1e-15), col
+    for label in ("00", "01", "10", "11"):
+        plus, minus = (table(a, f"reflect_{label}.csv") for a in ("1", "-1"))
+        assert np.array_equal(minus["time_s"], plus["time_s"])
+        for col in ("in_re", "in_im", "out_re", "out_im"):
+            p, m = plus[col].astype(float), minus[col].astype(float)
+            assert np.allclose(m, -p, rtol=2e-11, atol=0), (label, col)
 
 
 def test_fidelity_csv_contract(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import brute_force_gate_fidelity, coherent_overlap_gate_fidelity
-from resgate import gate
+from resgate import gate, scattering
 from resgate.errors import NumericsError
 from resgate.gate import (
     GateInputs,
@@ -151,15 +151,16 @@ def test_photon_sweep_shares_linear_scatter(ref):
     # amplitude-independent backend: identical per-state mismatch rows
     assert pts[1].per_state["01"][1] == pts[2].per_state["01"][1]
     assert pts[1].fidelity > pts[2].fidelity
-    # the shortcut keeps scatter_batch's amplitude rule
+    # the sweep keeps scatter_batch's amplitude rule
     with pytest.raises(ValueError, match="finite and nonzero"):
         sweep_photon_number(ref, [np.nan], backend="filter")
 
 
 def test_photon_sweep_records_match_direct_scatter(ref, monkeypatch):
-    # the linear shortcut rescales its alpha = 1 records to each amplitude;
-    # no diagnostic may keep its alpha = 1 value (the filter's peak field
-    # read 1.69e8 at alpha = 3, where a direct scatter gives 1.52e9)
+    # a linear sweep rescales its first point's records to each amplitude;
+    # no diagnostic may keep the value of that first amplitude (a filter
+    # peak field once read 1.69e8 at alpha = 3, where a direct scatter
+    # gives 1.52e9)
     seen = {}
     point = gate._point
 
@@ -168,18 +169,57 @@ def test_photon_sweep_records_match_direct_scatter(ref, monkeypatch):
         return point(x_value, alpha, results)
 
     monkeypatch.setattr(gate, "_point", spy)
-    sweep_photon_number(ref, [3.0], backend="filter")
+    sweep_photon_number(ref, [1.0, 3.0], backend="filter")
     direct = scatter_all_states(gate._default_pulse(ref, None, None), 3.0, ref, backend="filter")
     for lab in STATE_LABELS:
         assert seen[3.0][lab].diagnostics == direct[lab].diagnostics, lab
 
 
 def test_coupling_sweep_consistent_with_photon_sweep(ref):
-    alpha = 0.8
-    base = sweep_photon_number(ref, [alpha], backend="filter")[0].fidelity
-    varied = sweep_coupling_variation(ref, [0.0], alpha, backend="filter")[0]
-    assert varied.x_value == 0.0
-    assert varied.fidelity == pytest.approx(base, rel=1e-12)
+    # both sweeps are one scatter_batch call, and the fidelity depends on
+    # |alpha| alone: at alpha = -0.8 the coupling sweep used to give 0.151
+    # on filter against the photon sweep's 0.921
+    for backend in ("filter", "meanfield"):
+        real = sweep_photon_number(ref, [0.8], backend=backend)[0].fidelity
+        for alpha in (0.8, -0.8, 0.8j):
+            base = sweep_photon_number(ref, [alpha], backend=backend)[0].fidelity
+            varied = sweep_coupling_variation(ref, [0.0], alpha, backend=backend)[0]
+            assert varied.x_value == 0.0
+            assert varied.fidelity == pytest.approx(base, rel=1e-12), (backend, alpha)
+            assert base == pytest.approx(real, rel=1e-12), (backend, alpha)
+
+
+def test_linear_sweeps_call_the_kernel_once_per_state_and_device(ref, monkeypatch):
+    # the photon sweep's 22 driven points share one device: one filter run
+    # per state (00, 01, 11); each coupling point is a device of its own
+    calls = []
+    kernel = scattering.reflect_filter_pulse
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["alpha"])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "reflect_filter_pulse", spy)
+    sweep_photon_number(ref, np.linspace(0.0, 22.0, 23), backend="filter")
+    assert calls == [1.0] * 3
+    calls.clear()
+    sweep_coupling_variation(ref, np.linspace(-0.2, 0.2, 11), 0.8, backend="filter")
+    assert calls == [0.8] * 33
+
+
+@pytest.mark.parametrize("first", [0.5, 0.3])
+def test_photon_sweep_scatters_at_its_first_point(ref, first):
+    # a linear sweep scatters at its first nonzero amplitude, not at 1;
+    # the other points rescale it and agree with a sweep that starts at 1
+    # to 1e-12 relative (0.5, a power of two, agrees exactly)
+    alphas = [1.0, 2.0, 7.5, 22.0]
+    want = sweep_photon_number(ref, alphas, backend="filter")
+    got = sweep_photon_number(ref, [0.0, first, *alphas], backend="filter")[2:]
+    for g, w in zip(got, want):
+        assert g.x_value == w.x_value
+        assert g.fidelity == pytest.approx(w.fidelity, rel=1e-12)
+        for lab in STATE_LABELS:
+            assert g.per_state[lab] == pytest.approx(w.per_state[lab], rel=1e-12, abs=1e-15), lab
 
 
 def test_coupling_sweep_rejects_bad_fractions(ref):

@@ -4,18 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as strat
 
 from _oracles import (
     dense_lindblad_evolve, filter_state_metrics, master_run, meanfield_reference_rows, rk4_reference,
 )
 from resgate import scattering
 from resgate.errors import NumericsError
+from resgate.gate import GateInputs, gate_fidelity
 from resgate.pulse import TimeGrid, default_grid, gaussian_pulse
 from resgate.qmath import DensityMatrix, HilbertSpace
 from resgate.scattering import (
     _CHUNK,
     FOCK_TAIL_BOUND,
     MEANFIELD_EXCITATION_BOUND,
+    MIN_ALPHA_SQUARED,
     STATE_LABELS,
     _analytic_result,
     _bare_cavity_field,
@@ -568,7 +572,8 @@ def test_scatter_rejects_unknown_backend(ref, ref_pulse):
         scatter_all_states(ref_pulse, 0.5, ref, backend="exact")
 
 
-@pytest.mark.parametrize("alpha", [0.0, np.nan, 1e-320, 1e300])
+# 1e-150 and 1e-160 square below MIN_ALPHA_SQUARED, the second to a subnormal
+@pytest.mark.parametrize("alpha", [0.0, np.nan, 1e-320, 1e300, 1e-150, 1e-160])
 @pytest.mark.parametrize("backend", ["analytic", "filter"])
 def test_linear_backends_share_the_amplitude_rule(ref, ref_pulse, backend, alpha):
     # the time-domain backends' rule holds for the linear ones: filter's
@@ -584,8 +589,22 @@ def test_linear_backends_share_the_amplitude_rule(ref, ref_pulse, backend, alpha
             _analytic_result(ref_pulse, alpha, joint_state("01"), ref)
 
 
-def _metrics(ref, backend, scale=1.0, sign=1.0):
-    """{label: (eps, eta, phase)} at alpha 0.5 on a 400-sample grid, with
+@pytest.mark.parametrize("backend", ["filter", "meanfield"])
+def test_amplitude_floor_keeps_the_decomposition_in_normal_floats(ref, ref_pulse, backend):
+    # just above the floor eps and eta are those of an amplitude far from it
+    # (filter: alpha = 1; meanfield, nonlinear: 1e-100); just below it is refused
+    root = math.sqrt(MIN_ALPHA_SQUARED)
+    low = scatter_all_states(ref_pulse, 1.0000001 * root, ref, backend=backend)
+    far = scatter_all_states(ref_pulse, 1.0 if backend == "filter" else 1e-100, ref, backend=backend)
+    for lab in STATE_LABELS:
+        assert low[lab].epsilon == pytest.approx(far[lab].epsilon, rel=1e-12, abs=1e-15), lab
+        assert low[lab].eta == pytest.approx(far[lab].eta, rel=1e-12, abs=1e-15), lab
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        scatter_all_states(ref_pulse, 0.9999999 * root, ref, backend=backend)
+
+
+def _metrics(ref, backend, scale=1.0, sign=1.0, alpha=0.5):
+    """{label: (eps, eta, phase)} at `alpha` on a 400-sample grid, with
     g, kappa, the detuning (0.3 kappa) and 1/T1 times `scale` and the
     detuning times `sign`; tau kappa stays 10."""
     p = dataclasses.replace(
@@ -594,7 +613,7 @@ def _metrics(ref, backend, scale=1.0, sign=1.0):
     )
     tau = 10.0 / p.kappa
     pulse = gaussian_pulse(tau, default_grid(tau, p.kappa, n_samples=400))
-    out = scatter_all_states(pulse, 0.5, p, backend=backend, fock_dim=8)
+    out = scatter_all_states(pulse, alpha, p, backend=backend, fock_dim=8)
     return {lab: (r.epsilon, r.eta, r.phase) for lab, r in out.items()}
 
 
@@ -616,3 +635,41 @@ def test_reflection_invariant_under_rate_scaling_and_detuning_mirror(ref, backen
     mirror = _metrics(ref, backend, sign=-1.0)
     _assert_same({lab: (eps, eta, -phase) for lab, (eps, eta, phase) in mirror.items()}, base)
     assert all(abs(phase) > 1e-3 for _, _, phase in base.values())     # the mirror is not trivial
+    # every backend is symmetric under c -> c e^{i theta}, s -> s e^{i theta}:
+    # all three depend on |alpha| alone (the phase used to count arg alpha
+    # twice, and was pi off at alpha = -0.5)
+    for alpha in (-0.5, 0.5j):
+        _assert_same(_metrics(ref, backend, alpha=alpha), base)
+
+
+_LINEAR_KERNELS = {"analytic": _analytic_result, "filter": reflect_filter_pulse}
+
+
+# On a failure hypothesis imports libcst to suggest a patch, and libcst warns
+# on import; under the suite's warnings-as-errors that would end the session
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, max_examples=40, database=None, deadline=None)
+@given(
+    magnitude=strat.floats(1e-3, 30.0),
+    angle=strat.floats(-math.pi, math.pi),
+    backend=strat.sampled_from(sorted(_LINEAR_KERNELS)),
+)
+def test_linear_batch_records_equal_kernel_calls(ref, ref_pulse, magnitude, angle, backend):
+    # the batch scatters at alpha = 1 and rescales those records to the other
+    # points: each must equal the kernel called at its alpha up to rounding,
+    # and eps, eta, the phase and F must not depend on arg alpha
+    alpha = magnitude * cmath.exp(1j * angle)
+    batch = list(scatter_batch(ref_pulse, [(1.0, ref), (alpha, ref), (magnitude, ref)], backend))
+    got, real = batch[1], batch[2]
+    for lab in STATE_LABELS:
+        r = got[lab]
+        want = _LINEAR_KERNELS[backend](ref_pulse, alpha=alpha, state=joint_state(lab), params=ref)
+        assert r.alpha_in == want.alpha_in and r.diagnostics == want.diagnostics, lab
+        assert abs(r.alpha_out - want.alpha_out) <= 1e-14 * abs(want.alpha_out), lab
+        assert abs(r.epsilon - want.epsilon) <= 1e-14 and abs(r.eta - want.eta) <= 1e-14, lab
+        assert np.allclose(r.f_out.envelope, want.f_out.envelope, rtol=0,
+                           atol=1e-14 * np.abs(want.f_out.envelope).max()), lab
+        assert (r.epsilon, r.eta) == (real[lab].epsilon, real[lab].eta), lab
+        assert abs(cmath.exp(1j * r.phase) - cmath.exp(1j * real[lab].phase)) <= 1e-14, lab
+    f_alpha, f_real = (gate_fidelity(GateInputs(a, res)) for a, res in ((alpha, got), (magnitude, real)))
+    assert f_alpha == pytest.approx(f_real, rel=1e-12, abs=1e-14)
