@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -148,8 +147,10 @@ class ReflectionResult:
 
     @property
     def phase(self) -> float:
-        """Phase of the reflected amplitude relative to the input."""
-        return cmath.phase(self.alpha_out / self.alpha_in)
+        """Phase of the reflected amplitude relative to the input, in (-pi, pi]:
+        a reflection of exactly -pi reads pi, on every backend."""
+        phi = cmath.phase(self.alpha_out / self.alpha_in)
+        return math.pi if phi == -math.pi else phi
 
 
 def xi_effective(result: ReflectionResult) -> complex:
@@ -555,12 +556,6 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
     return records, rho, drift
 
 
-def required_fock_dim(alpha: complex, f_in: Pulse, kappa: float) -> float:
-    """Sizing heuristic for the Fock truncation under a coherent drive."""
-    peak = float(np.max(np.abs(f_in.envelope)))
-    return (4.0 * abs(alpha) * peak / math.sqrt(kappa)) ** 2
-
-
 def _master_diagnostics(peak_photon, trace_drift, fock_tail, min_eigenvalue) -> dict:
     """master's diagnostics; fock_tail is the top two Fock levels' peak population."""
     return {"peak_photon": peak_photon, "trace_drift": trace_drift, "fock_tail": fock_tail,
@@ -625,25 +620,16 @@ def _bare_cavity_field(params: DeviceParams, drive, grid) -> np.ndarray:
     return np.array(list(accumulate(u_m, lambda c, x: r_m * c + x, initial=0j)))
 
 
-def _coherent_fock_tail(n_mean: float, fock_dim: int) -> float:
-    """Population of the top two of fock_dim levels in a coherent state of
-    mean photon number n_mean (Poisson), as fock_tail measures it."""
-    log_n = math.log(max(n_mean, sys.float_info.min))
-    return sum(
-        math.exp(k * log_n - n_mean - math.lgamma(k + 1)) for k in (fock_dim - 2, fock_dim - 1)
-    )
-
-
-def _bare_row(c_traj, backend: str, fock_dim: int) -> tuple[np.ndarray, dict]:
+def _bare_row(c_traj, backend: str) -> tuple[np.ndarray, dict]:
     """(c_traj, diagnostics) of a dipole-free job: the diagnostics of the
     exact state, a coherent cavity field and a charge left in its ground
     state.  meanfield: <s> = 0 and <z> = -1 throughout.  master: no trace
-    drift, a zero eigenvalue, and the Poisson tail, which grows with the
-    photon number below the truncation, so its peak is at the peak field."""
+    drift, a zero eigenvalue and a zero Fock tail: the exact field used no
+    truncated space, so the row is never flagged."""
     peak_photon = float(np.max(np.abs(c_traj) ** 2))
     if backend == "meanfield":
         return c_traj, _meanfield_diagnostics(peak_photon, 0.0, -1.0)
-    return c_traj, _master_diagnostics(peak_photon, 0.0, _coherent_fock_tail(peak_photon, fock_dim), 0.0)
+    return c_traj, _master_diagnostics(peak_photon, 0.0, 0.0, 0.0)
 
 
 def _reflect_batch(f_in: Pulse, jobs, backend: str, fock_dim=DEFAULT_FOCK_DIM) -> Iterator[ReflectionResult]:
@@ -655,21 +641,17 @@ def _reflect_batch(f_in: Pulse, jobs, backend: str, fock_dim=DEFAULT_FOCK_DIM) -
     the other jobs are integrated as one batch.  Both use the same
     upsampled drive.
 
-    The checks (the amplitude rule, master sizing, the shared device, trace
-    drift) and the integration run at the call.  The returned iterator
-    decomposes a job when it is consumed, so a caller that keeps one
-    result at a time holds only the batch's <c> record and that result.
+    The checks (the amplitude rule, the shared device, trace drift) and
+    the integration run at the call; master's Fock truncation is judged
+    by what the coupled rows measure, their peak tail (see _master_rows).
+    The returned iterator decomposes a job when it is consumed, so a
+    caller that keeps one result at a time holds only the batch's <c>
+    record and that result.
     """
     if not f_in.is_normalized():
         raise ValueError("input pulse must be normalized")
-    for a, _, q in jobs:
+    for a, _, _ in jobs:
         _check_amplitude(a)
-        if backend == "master":
-            need = required_fock_dim(a, f_in, q.kappa)
-            if fock_dim < need:
-                raise ValueError(
-                    f"fock_dim {fock_dim} below sizing heuristic {need:.1f} for |alpha|={abs(a):.3g}"
-                )
     drive = _upsample(f_in.envelope)
     bare = [st.g_eff(q.g_coupling) == 0 for _, st, q in jobs]
     coupled = [job for job, is_bare in zip(jobs, bare) if not is_bare]
@@ -685,14 +667,14 @@ def _reflect_batch(f_in: Pulse, jobs, backend: str, fock_dim=DEFAULT_FOCK_DIM) -
             rows = _meanfield_rows(f_in.grid, coupled, drive)
         else:
             rows = _master_rows(f_in.grid, coupled, drive, fock_dim)
-    return _decomposed(f_in, jobs, backend, fock_dim, bare, iter(rows), c_unit)
+    return _decomposed(f_in, jobs, backend, bare, iter(rows), c_unit)
 
 
-def _decomposed(f_in, jobs, backend, fock_dim, bare, rows, c_unit) -> Iterator[ReflectionResult]:
+def _decomposed(f_in, jobs, backend, bare, rows, c_unit) -> Iterator[ReflectionResult]:
     """_reflect_batch's results, one job at a time: a bare job scales
     c_unit, a coupled one takes the next of `rows`."""
     for (a, st, q), is_bare in zip(jobs, bare):
-        c_traj, diags = _bare_row(a * c_unit, backend, fock_dim) if is_bare else next(rows)
+        c_traj, diags = _bare_row(a * c_unit, backend) if is_bare else next(rows)
         g_out = a * f_in.envelope + math.sqrt(q.kappa) * c_traj
         yield _decompose(f_in, g_out, a, st, q, backend, {"c_trajectory": c_traj, **diags})
 
@@ -704,7 +686,7 @@ def reflect_master(
     params: DeviceParams,
     fock_dim: int = DEFAULT_FOCK_DIM,
 ) -> ReflectionResult:
-    """Density-matrix reflection; the reference backend at small alpha.
+    """Density-matrix reflection, `unreliable` when its peak Fock tail passes FOCK_TAIL_BOUND.
 
     A dipole-free state (g_eff = 0) takes the exact bare-cavity field of
     _bare_cavity_field, as in meanfield, and the diagnostics of _bare_row.

@@ -25,6 +25,7 @@ from resgate.cli import (
 from resgate.device import CircuitParams, DeviceParams, ZeemanParams
 from resgate.errors import ConfigError, NumericsError
 from resgate.gate import sweep_photon_number
+from resgate.scattering import BACKENDS
 from resgate.svgplot import _ticks, line_chart
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -416,10 +417,24 @@ def test_reflect_analytic_summary(tmp_path):
     for r in rows:
         assert float(r[header.index("epsilon")]) == 0.0
         assert float(r[header.index("eta")]) == 0.0
-    assert abs(float(by_state["11"][header.index("phase_rad")])) == pytest.approx(math.pi)
     assert float(by_state["00"][header.index("xi_analytic")]) == pytest.approx(1151 / 1153)
     for lab in ("00", "01", "10", "11"):
         assert (tmp_path / f"reflect_{lab}.csv").is_file()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_reflect_reads_the_phase_flip_as_plus_pi(tmp_path, capsys, backend):
+    # the bare cavity flips the phase by pi; every backend reports it on one
+    # branch, (-pi, pi], so as +pi.  filter's 11 used to read -pi at every
+    # amplitude.  Master's 11 row is exact at any fock_dim: 4 keeps it cheap
+    cfg = tmp_path / "phase.cfg"
+    cfg.write_text(DEFAULT_CFG.read_text().replace("alpha = 20", "alpha = 0.5")
+                   .replace("samples = 0", "samples = 705").replace("fock_dim = 16", "fock_dim = 4"))
+    assert main(["reflect", "--config", str(cfg), "--backend", backend, "--out", str(tmp_path)]) == 0
+    header, rows = _read_csv(tmp_path / "reflect_summary.csv")
+    assert {r[0]: r[header.index("phase_rad")] for r in rows}["11"] == f"{math.pi:.12g}"
+    line = next(line for line in capsys.readouterr().out.splitlines() if "state 11:" in line)
+    assert line.endswith("phase = +3.1416")
 
 
 @pytest.mark.parametrize("backend", ["analytic", "filter"])
@@ -495,15 +510,16 @@ def test_unreliable_points_warn_on_stderr(tmp_path, capsys):
 
 
 def test_master_truncation_warns_on_stderr(tmp_path, capsys):
-    # Fock 4 at alpha = 0.5: every state's pulse fills the top two levels
-    # past the bound, though each run ends with an empty cavity
+    # Fock 4 at alpha = 0.5: the pulse fills the top two levels of every
+    # integrated state (00, 01) past the bound, though each run ends with an
+    # empty cavity; 11's exact field used no truncated space and is not flagged
     cfg = tmp_path / "fock4.cfg"
     cfg.write_text(
         DEFAULT_CFG.read_text().replace("alpha = 20", "alpha = 0.5").replace("fock_dim = 16", "fock_dim = 4")
     )
     assert main(["reflect", "--config", str(cfg), "--backend", "master", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().err == (
-        "warning: 4 of 4 states (00, 01, 10, 11) outside the validity range of the master backend\n"
+        "warning: 3 of 4 states (00, 01, 10) outside the validity range of the master backend\n"
     )
 
 
@@ -518,12 +534,16 @@ def test_cli_imports_no_scipy():
 
 
 def test_numerics_exit_code(tmp_path, capsys):
-    # alpha = 20 with fock_dim 16 trips the master sizing pre-check
+    # nine samples at alpha = 0.5: the master RK4 step is too coarse and the
+    # density matrix blows up, which the trace drift check reports
     cfg = tmp_path / "master.cfg"
-    cfg.write_text(DEFAULT_CFG.read_text().replace("backend = filter", "backend = master"))
+    cfg.write_text(DEFAULT_CFG.read_text().replace("backend = filter", "backend = master")
+                   .replace("alpha = 20", "alpha = 0.5").replace("samples = 0", "samples = 9"))
     code = main(["reflect", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: backend master: master-equation trace drifted by ")
+    assert err.count("\n") == 1
 
 
 def test_coarse_grid_fails_with_one_line(tmp_path):

@@ -178,11 +178,14 @@ def test_photon_sweep_records_match_direct_scatter(ref, monkeypatch):
 def test_coupling_sweep_consistent_with_photon_sweep(ref):
     # both sweeps are one scatter_batch call, and the fidelity depends on
     # |alpha| alone: at alpha = -0.8 the coupling sweep used to give 0.151
-    # on filter against the photon sweep's 0.921
+    # on filter against the photon sweep's 0.921.  The three photon points
+    # are one sweep, whose elements equal single runs byte for byte
+    alphas = (0.8, -0.8, 0.8j)
     for backend in ("filter", "meanfield"):
-        real = sweep_photon_number(ref, [0.8], backend=backend)[0].fidelity
-        for alpha in (0.8, -0.8, 0.8j):
-            base = sweep_photon_number(ref, [alpha], backend=backend)[0].fidelity
+        points = sweep_photon_number(ref, alphas, backend=backend)
+        real = points[0].fidelity
+        for alpha, point in zip(alphas, points):
+            base = point.fidelity
             varied = sweep_coupling_variation(ref, [0.0], alpha, backend=backend)[0]
             assert varied.x_value == 0.0
             assert varied.fidelity == pytest.approx(base, rel=1e-12), (backend, alpha)

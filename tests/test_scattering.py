@@ -33,7 +33,6 @@ from resgate.scattering import (
     reflect_master,
     reflect_meanfield,
     reflection_filter,
-    required_fock_dim,
     scatter_all_states,
     scatter_batch,
     xi_analytic,
@@ -209,11 +208,33 @@ def test_meanfield_diagnostics(ref_pulse, meanfield_ref_runs):
     assert r.diagnostics["unreliable"]
 
 
-def test_master_fock_sizing_precheck(ref, ref_pulse):
-    need = required_fock_dim(20.0, ref_pulse, ref.kappa)
-    assert need > 16
-    with pytest.raises(ValueError):
-        reflect_master(ref_pulse, 20.0, joint_state("11"), ref, fock_dim=16)
+def test_master_fock_truncation_judged_by_measured_tail(ref, ref_tau):
+    # master's truncation has one judge, the measured peak tail of the rows
+    # it integrates.  At alpha = 1.5, Fock 12 holds the top two levels of
+    # 00 and 01 to 3.6e-7 and 2.1e-6, under the bound, and epsilon and eta
+    # agree with Fock 16 to 7.6e-7 (Fock 16 agrees with 20 to 1.4e-10)
+    short = gaussian_pulse(ref_tau, default_grid(ref_tau, ref.kappa, n_samples=705))
+    small, large = (scatter_all_states(short, 1.5, ref, backend="master", fock_dim=n) for n in (12, 16))
+    for lab in ("00", "01"):
+        d = small[lab].diagnostics
+        assert FOCK_TAIL_BOUND > d["fock_tail"] > 0 and not d["unreliable"], lab
+        assert small[lab].epsilon == pytest.approx(large[lab].epsilon, rel=0, abs=2e-6), lab
+        assert small[lab].eta == pytest.approx(large[lab].eta, rel=0, abs=2e-6), lab
+
+
+def test_master_bare_state_needs_no_fock_levels(ref, ref_pulse):
+    # state 11 takes the exact bare-cavity field, which never lives in the
+    # truncated space: at alpha = 20 (peak photon number 310) Fock 4 and 16
+    # give the same bits, and the row reports no tail and no flag
+    small, large = (reflect_master(ref_pulse, 20.0, joint_state("11"), ref, fock_dim=n) for n in (4, 16))
+    c = small.diagnostics["c_trajectory"]
+    assert c.tobytes() == large.diagnostics["c_trajectory"].tobytes()
+    assert (small.epsilon, small.eta, small.phase) == (large.epsilon, large.eta, large.phase)
+    assert small.phase == math.pi
+    for r in (small, large):
+        d = r.diagnostics
+        assert d["fock_tail"] == d["trace_drift"] == d["min_eigenvalue"] == 0 and not d["unreliable"]
+        assert d["peak_photon"] == np.max(np.abs(c) ** 2) > 300
 
 
 def test_master_run_records_and_hygiene(ref, master_half_runs):
@@ -278,16 +299,9 @@ def test_bare_cavity_recurrence_matches_rk4(ref, ref_pulse, bare_lab_frame_runs,
             assert mf.diagnostics[key] == rk4_diags[key] == 0, key
         assert ms.diagnostics.keys() == master_half_runs["00"].diagnostics.keys()
         d = ms.diagnostics
-        assert d["trace_drift"] == 0 and d["min_eigenvalue"] == 0 and not d["unreliable"]
+        # the exact field used no truncated space: it has no Fock tail either
+        assert d["trace_drift"] == d["min_eigenvalue"] == d["fock_tail"] == 0 and not d["unreliable"]
         assert d["peak_photon"] == pytest.approx(np.max(np.abs(lab_run["c"]) ** 2), rel=1e-12)
-        # the Poisson tail of the coherent state at its peak field, against
-        # the peak over the run of the same population of the lab-frame
-        # density matrix; they differ by the truncation of the top level,
-        # 7.8e-7 relative measured
-        n_peak = np.max(np.abs(c) ** 2)
-        poisson = sum(math.exp(-n_peak) * n_peak**k / math.factorial(k) for k in (fock_dim - 2, fock_dim - 1))
-        assert d["fock_tail"] == pytest.approx(poisson, rel=1e-12, abs=0)
-        assert d["fock_tail"] == pytest.approx(lab_run["tail"].real.max(), rel=1e-5, abs=0)
 
 
 def test_master_flags_fock_tail_at_its_peak(ref, ref_pulse):
@@ -406,7 +420,6 @@ def test_scatter_batch_refuses_at_the_call(ref, ref_pulse):
         ((ref_pulse, [(0.3, ref)], "exact"), ValueError, "unknown backend"),
         ((ref_pulse, [(0.3, ref), (0.3, dataclasses.replace(ref, t1=2 * ref.t1))], "master"),
          ValueError, "share"),
-        ((ref_pulse, [(0.3, ref), (20.0, ref)], "master"), ValueError, "sizing heuristic"),
         ((coarse, [(0.3, ref)], "master"), NumericsError, "trace drifted"),
     ] + [
         ((ref_pulse, [(0.3, ref), (1e-320, ref)], backend), ValueError, "finite and nonzero")

@@ -1,8 +1,10 @@
 """The names other code reaches into the package by: the benchmark's tracer
 wraps functions and methods by name, and `resgate.__all__` is the public
 import surface.  A rename or deletion must show up here, not as a
-benchmark run that traces nothing."""
+benchmark run that traces nothing.  A deletion must also take its
+imports with it: no module imports a name it never uses."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -12,6 +14,7 @@ import resgate
 from resgate import cli, scattering, svgplot
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PACKAGE = Path(resgate.__file__).resolve().parent
 
 
 def test_traced_names_resolve_and_public_names_pinned():
@@ -74,3 +77,20 @@ def test_traced_cli_signatures():
     for fn in (cli._write_rows, svgplot.save_chart):
         first = next(iter(inspect.signature(fn).parameters.values()))
         assert first.name == "path" and first.kind is first.POSITIONAL_OR_KEYWORD, fn.__name__
+
+
+def test_modules_import_no_unused_name():
+    # a module's imports are names it uses; __init__ imports to re-export.
+    # A name counts as used where the module loads it (an annotation too)
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
