@@ -58,9 +58,13 @@ _TWO_PI_MHZ = 2.0 * math.pi * 1e6      # f/2pi in MHz to rad/s
 MAX_GRID_SAMPLES = 100_000
 MAX_SWEEP_POINTS = 1_000
 MAX_LEVELS_POINTS = 100_000
-# One master batch element holds about 8 complex (2 fock_dim)^2 arrays
-# (the RK4 state, slopes and stage pair, and its generator): 512 fock_dim^2
-# bytes, 32 MiB at this cap.  fock_dim = 5000 would ask for 12.8 GB.
+# One master batch element peaks at about 1,700 fock_dim^2 bytes: the RK4
+# state, slopes, stage pair, generators and jump weights, each a complex
+# (2 fock_dim)^2 array, and in the undriven tail the (4 fock_dim - 2)^2
+# sector blocks with their temporaries (scattering._free_decay).  A batch
+# shares about 1,000 fock_dim^2 bytes more (tracemalloc peaks at fock_dim
+# 64): about 110 MiB per element at this cap.  fock_dim = 5000 would ask
+# for 43 GB per element.
 MAX_FOCK_DIM = 256
 
 FIDELITY_COLUMNS = (

@@ -260,14 +260,32 @@ def _upsample(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rk4(bind, y, drive, forcing, grid, on_sample):
+def _zero_after_pulse(drive: np.ndarray, envelope: np.ndarray) -> np.ndarray:
+    """`drive`, the upsampled `envelope`, with exact zeros from the pulse's end on.
+
+    The pulse ends where its envelope first stays below 2^-53 of its peak.
+    Past that point the interpolant holds only the ringing of the periodic
+    FFT (the envelope's two ends differ), about 1.2e-11 of peak on the
+    default grid and finer ones.  master relaxes its rows in closed form
+    over a trailing run of exact zeros (see _free_decay), so it takes this
+    drive; meanfield and _bare_cavity_field keep the interpolant.
+    """
+    mag = np.abs(envelope)
+    end = np.flatnonzero(mag >= 2.0**-53 * mag.max())[-1] + 1
+    out = drive.copy()
+    out[2 * _SUBSTEPS * end :] = 0.0
+    return out
+
+
+def _rk4(bind, y, drive, forcing, grid, on_sample, samples=None):
     """Classical fixed-step RK4 of a batch of states; the one time stepper.
 
     Takes _SUBSTEPS steps of size h = grid.dt / _SUBSTEPS per grid
-    interval.  `drive` is the forcing upsampled by _upsample, so drive[2j],
+    interval, up to grid point samples - 1 (the grid's end by default).
+    `drive` is the forcing upsampled by _upsample, so drive[2j],
     drive[2j+1] and drive[2j+2] are its values at the start, middle and
     end of step j.  `on_sample(k, y)` sees the state at grid point
-    k = 0..grid.n_samples-1.
+    k = 0..samples-1.
 
     Buffers: _rk4 owns them all and reuses them on every step: the state
     (a copy of the caller's `y`, which is not modified), the four slopes
@@ -306,7 +324,7 @@ def _rk4(bind, y, drive, forcing, grid, on_sample):
     two = np.full_like(scratch, 2)
     add, mul = np.add, np.multiply
     on_sample(0, y)
-    for j in range(_SUBSTEPS * (grid.n_samples - 1)):
+    for j in range(_SUBSTEPS * ((samples or grid.n_samples) - 1)):
         i = 2 * (j % _CHUNK)
         if i == 0:
             rows = list(forcing(drive[2 * j : 2 * j + 2 * _CHUNK + 1]))
@@ -473,7 +491,10 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
     with D' = -detuning, plus Lindblad decay kappa for the cavity and 1/T1
     for the charge.  Each rho[k] must be Hermitian: the rhs forms rho H^d as
     (H rho)^d, which holds only for Hermitian rho, and keeps rho exactly
-    Hermitian.  A trace drift above 1e-6, or a NaN one, raises NumericsError.
+    Hermitian.  From the first grid point past the last nonzero value of
+    `drive` on, the rows relax in closed form (_free_decay) instead of by
+    RK4: the same step, rounded differently.
+    A trace drift above 1e-6, or a NaN one, raises NumericsError.
     Returns the records {name: (B, n_samples)} of tr(rho op) for each of
     `ops`, the final states and the trace drift of each element.
     """
@@ -549,11 +570,69 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
             records[name][:, k] = (r * opt).sum(axis=(1, 2))
         np.maximum(drift, np.abs(np.trace(r, axis1=1, axis2=2) - 1.0), out=drift)
 
-    rho = _rk4(bind, rho, drive, forcing, grid, on_sample)
+    # RK4 runs to the first grid point past the drive's last nonzero value;
+    # from there the rows relax in closed form
+    driven = np.flatnonzero(drive[: 2 * _SUBSTEPS * (n - 1) + 1])
+    end = min(n - 1, driven[-1] // (2 * _SUBSTEPS) + 1) if driven.size else 0
+    rho = _rk4(bind, rho, drive, forcing, grid, on_sample, end + 1)
+    if end < n - 1:
+        weights = [*op_t.values(), np.eye(d)]
+        tail, rho = _free_decay(space, gen_eff, params, grid.dt / _SUBSTEPS, rho, weights, n - 1 - end)
+        for name, rec in zip(records, tail[:, :, :-1].T):
+            records[name][:, end + 1 :] = rec
+        np.maximum(drift, np.abs(tail[:, :, -1] - 1.0).max(axis=0), out=drift)
     # `not <=` so that a NaN drift fails as well
     if not np.all(drift <= 1e-6):
         raise NumericsError(f"master-equation trace drifted by {drift.max():.3e}")
     return records, rho, drift
+
+
+def _free_decay(space, gen, params, h, rho, weights, intervals):
+    """The batch rho relaxed with no drive over `intervals` grid intervals,
+    in closed form: (tr(rho w) for each of `weights` after each interval,
+    shaped (intervals, B, len(weights)), and the final states).
+
+    gen[k] = -i H_eff of row k.  With no drive the generator L is constant,
+    and an RK4 step on rho' = L rho is exactly rho <- P(hL) rho with P(z) =
+    1 + z + z^2/2 + z^3/6 + z^4/24, so a grid interval is P(hL)^_SUBSTEPS:
+    the RK4 step in closed form, as in _bare_cavity_field.  H then conserves
+    N = c^d c + s+ s-, and both jumps lower N on both sides of rho, so L
+    keeps each coherence order m = N(row) - N(col) to itself (B. Buca and
+    T. Prosen, New J. Phys. 14, 073007 (2012)); a block L_m is at most
+    4 fock_dim - 2 square.  One sector at a time: a sector that `weights`
+    read is stepped interval by interval, any other is brought to the end
+    by one matrix power.
+    """
+    nf, d = space.fock_dim, space.dim
+    exc = np.arange(d) % nf + np.arange(d) // nf
+    order = exc[:, None] - exc[None, :]
+    eye = np.eye(d)
+    jumps = ((params.kappa, space.cavity_op()), (1.0 / params.t1, space.charge_lower_op()))
+
+    def interval(i, j):
+        # L on the entries (i, j) of rho, from L rho = A rho + rho A^d + sum of rate X rho X^d
+        def pair(x, y):
+            return x[..., i[:, None], i] * y[..., j[:, None], j].conj()
+
+        step = h * (pair(gen, eye) + pair(eye, gen) + sum(rate * pair(x, x) for rate, x in jumps))
+        one = np.eye(len(i))
+        poly = reduce(lambda p, q: one + step @ p / q, (4, 3, 2, 1), one)     # P(hL) by Horner
+        return np.linalg.matrix_power(poly, _SUBSTEPS)
+
+    out = np.zeros((intervals, len(rho), len(weights), 1), dtype=complex)
+    final = np.empty_like(rho)
+    for sector in range(-nf, nf + 1):
+        i, j = np.nonzero(order == sector)
+        m, v = interval(i, j), rho[:, i, j, None]
+        w = np.array([wt[i, j] for wt in weights])
+        if w.any():
+            for t in range(intervals):
+                v = m @ v
+                out[t] += w @ v
+        else:
+            v = np.linalg.matrix_power(m, intervals) @ v
+        final[:, i, j] = v[..., 0]
+    return out[..., 0], final
 
 
 def _master_diagnostics(peak_photon, trace_drift, fock_tail, min_eigenvalue) -> dict:
@@ -639,7 +718,9 @@ def _reflect_batch(f_in: Pulse, jobs, backend: str, fock_dim=DEFAULT_FOCK_DIM) -
     linear cavity.  It takes _bare_cavity_field, evaluated once at unit
     amplitude and scaled by its alpha, and never enters the RK4 batch;
     the other jobs are integrated as one batch.  Both use the same
-    upsampled drive.
+    upsampled drive, except that master takes it with exact zeros from
+    the pulse's end on (_zero_after_pulse), over which its rows relax in
+    closed form.
 
     The checks (the amplitude rule, the shared device, trace drift) and
     the integration run at the call; master's Fock truncation is judged
@@ -666,7 +747,7 @@ def _reflect_batch(f_in: Pulse, jobs, backend: str, fock_dim=DEFAULT_FOCK_DIM) -
         elif backend == "meanfield":
             rows = _meanfield_rows(f_in.grid, coupled, drive)
         else:
-            rows = _master_rows(f_in.grid, coupled, drive, fock_dim)
+            rows = _master_rows(f_in.grid, coupled, _zero_after_pulse(drive, f_in.envelope), fock_dim)
     return _decomposed(f_in, jobs, backend, bare, iter(rows), c_unit)
 
 

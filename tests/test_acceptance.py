@@ -19,12 +19,10 @@ their assert messages so the failure output is self-explanatory.
 """
 
 import dataclasses
-import math
 import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from _oracles import brute_force_gate_fidelity, coherent_overlap_gate_fidelity
 from resgate.cli import main

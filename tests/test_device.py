@@ -14,7 +14,6 @@ from resgate.device import (
     dqd_hamiltonian,
     energy_gap,
     mixing_angle,
-    reference_device,
     resonator_fundamental,
     s_parameter,
     spin_dephasing_estimate,

@@ -7,7 +7,6 @@ from _oracles import gaussian_peak_sq, gaussian_shift_overlap
 from resgate.pulse import (
     MIN_GRID_SAMPLES,
     Pulse,
-    Spectrum,
     TimeGrid,
     default_grid,
     gaussian_pulse,

@@ -80,9 +80,10 @@ def test_traced_cli_signatures():
 
 
 def test_modules_import_no_unused_name():
-    # a module's imports are names it uses; __init__ imports to re-export.
-    # A name counts as used where the module loads it (an annotation too)
-    for path in sorted(PACKAGE.glob("*.py")):
+    # a module's imports are names it uses, in the package and its tests;
+    # __init__ imports to re-export.  A name counts as used where the module
+    # loads it (an annotation too)
+    for path in sorted([*PACKAGE.glob("*.py"), *Path(__file__).resolve().parent.glob("*.py")]):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
