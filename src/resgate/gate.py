@@ -140,7 +140,7 @@ def sweep_photon_number(
     """
     f_in = _default_pulse(params, tau, n_samples)
     alphas = [complex(a) for a in alphas]
-    runs = scatter_batch(f_in, [(a, params) for a in alphas if a != 0], backend, fock_dim)
+    runs = scatter_batch(f_in, [(a, params) for a in alphas if a != 0], backend, fock_dim, fields=False)
     return [
         _zero_point(f_in, params) if a == 0 else _point(abs(a) ** 2, a, next(runs))
         for a in alphas
@@ -174,5 +174,5 @@ def sweep_coupling_variation(
     alpha = complex(alpha)
     f_in = _default_pulse(params, tau, n_samples)
     varied = [replace(params, g_coupling=params.g_coupling * (1.0 + x)) for x in fractions]
-    runs = scatter_batch(f_in, [(alpha, p) for p in varied], backend, fock_dim)
+    runs = scatter_batch(f_in, [(alpha, p) for p in varied], backend, fock_dim, fields=False)
     return [_point(x, alpha, res) for x, res in zip(fractions, runs)]

@@ -139,7 +139,7 @@ class ReflectionResult:
     xi: complex                 # steady-state (analytic) reflection amplitude
     alpha_in: complex
     alpha_out: complex
-    f_out: Pulse                # normalized output mode
+    f_out: Pulse | None         # normalized output mode; None where no fields were asked for
     epsilon: float              # shape mismatch, in [0, 1]
     eta: float                  # energy loss fraction, in [0, 1]
     backend: str
@@ -181,28 +181,31 @@ def _check_amplitude(alpha: complex) -> None:
         raise ValueError(f"|alpha|^2 must be finite and nonzero (>= {MIN_ALPHA_SQUARED:g}), alpha = {alpha}")
 
 
-def _decompose(
-    f_in: Pulse,
-    g_out: np.ndarray,
-    alpha: complex,
-    state: JointState,
-    params: DeviceParams,
-    backend: str,
-    diagnostics: dict,
-) -> ReflectionResult:
-    """Split the raw output field into amplitude, shape, and loss."""
+def _field_integrals(f_in: Pulse, g_out: np.ndarray, backend: str) -> tuple[float, complex]:
+    """(energy, overlap) of an output field array, the integrals _reflection
+    takes: the trapezoid of |g_out|^2, and the overlap of f_in with g_out
+    normalised to unit energy (0 for a zero field, which _reflection refuses)."""
     if not np.all(np.isfinite(g_out)):
         raise NumericsError(f"{backend} output field is not finite")
-    dt = f_in.grid.dt
-    energy = float(np.trapezoid(np.abs(g_out) ** 2, dx=dt))
+    energy = float(np.trapezoid(np.abs(g_out) ** 2, dx=f_in.grid.dt))
+    ov = overlap(f_in, Pulse(f_in.grid, g_out / math.sqrt(energy))) if energy else 0j
+    return energy, ov
+
+
+def _reflection(f_in: Pulse, energy: float, ov: complex, g_out, alpha: complex, state: JointState,
+                params: DeviceParams, backend: str, diagnostics: dict) -> ReflectionResult:
+    """Split an output field into amplitude, shape and loss by its
+    integrals (see _field_integrals): its energy and its overlap ov with
+    f_in once normalised.  f_out is g_out normalised, or None with g_out."""
+    # a non-finite field makes ov NaN, however its energy reads
+    if not cmath.isfinite(ov):
+        raise NumericsError(f"{backend} output field is not finite")
     e_ratio = energy / abs(alpha) ** 2
     if e_ratio > 1.0 + PASSIVITY_SLACK:
         raise NumericsError(f"output energy ratio {e_ratio:.9f} exceeds unity: passivity violated")
     eta = min(1.0, max(0.0, 1.0 - e_ratio))
     if energy == 0:
         raise NumericsError("zero output field; cannot decompose")
-    f_out = Pulse(f_in.grid, g_out / math.sqrt(energy))
-    ov = overlap(f_in, f_out)
     if abs(ov) > 1.0 + PASSIVITY_SLACK:
         raise NumericsError(f"mode overlap {abs(ov):.9f} exceeds unity")
     epsilon = max(0.0, 1.0 - abs(ov))
@@ -213,12 +216,19 @@ def _decompose(
         xi=complex(xi_analytic(state, params.g_coupling, params.kappa, params.t1)),
         alpha_in=alpha,
         alpha_out=alpha_out,
-        f_out=f_out,
+        f_out=None if g_out is None else Pulse(f_in.grid, g_out / math.sqrt(energy)),
         epsilon=epsilon,
         eta=eta,
         backend=backend,
         diagnostics=diagnostics,
     )
+
+
+def _decompose(f_in: Pulse, g_out: np.ndarray, alpha: complex, state: JointState,
+               params: DeviceParams, backend: str, diagnostics: dict) -> ReflectionResult:
+    """Split the raw output field array into amplitude, shape, and loss."""
+    return _reflection(f_in, *_field_integrals(f_in, g_out, backend), g_out, alpha, state, params,
+                       backend, diagnostics)
 
 
 def reflect_filter_pulse(
@@ -242,21 +252,26 @@ def _upsample(values: np.ndarray) -> np.ndarray:
     Needed because the fixed-step integrators evaluate the drive at
     half-step stage times; linear interpolation there would cap the
     whole scheme at second order.
+
+    Polyphase form (R. E. Crochiere and L. R. Rabiner, Multirate Digital
+    Signal Processing, 1983): out[j::factor], offset j of each grid
+    interval, is the inverse FFT of the spectrum with each signed bin q
+    turned by exp(2 pi i q j / (factor m)).  So no temporary spans the
+    fine grid, and no transform has the length factor m (8 * 2,817 has the
+    prime factor 313).  An even m's Nyquist bin counts half at +m/2 and
+    half at -m/2, a ramp of cos(pi j / factor), so a real envelope's
+    interpolant stays real.
     """
     factor = 2 * _SUBSTEPS
     m = len(values)
     sp = np.fft.fft(values)
-    out = np.zeros(factor * m, dtype=complex)
-    half = m // 2
-    out[:half] = sp[:half]
-    out[factor * m - (m - half):] = sp[half:]
-    if m % 2 == 0:
-        # split the Nyquist bin symmetrically to keep the interpolant real
-        # for real input
-        out[half] = 0.5 * sp[half]
-        out[factor * m - half] = 0.5 * sp[half]
-    out = np.fft.ifft(out)
-    out *= factor
+    q = (np.arange(m) + m // 2) % m - m // 2        # 0..(m-1)//2, then -(m//2)..-1
+    out = np.empty(factor * m, dtype=complex)
+    for j in range(factor):
+        ramp = np.exp((2j * math.pi * j / (factor * m)) * q)
+        if m % 2 == 0:
+            ramp[m // 2] = math.cos(math.pi * j / factor)
+        out[j::factor] = np.fft.ifft(sp * ramp)
     return out
 
 
@@ -361,11 +376,17 @@ def _meanfield_diagnostics(peak_photon: float, max_sigma_abs: float, max_z: floa
             "peak_excitation": p, "unreliable": p > MEANFIELD_EXCITATION_BOUND}
 
 
-def _meanfield_rows(grid, jobs, drive) -> list[tuple[np.ndarray, dict]]:
-    """(<c> trajectory, diagnostics) of each (alpha, state, params) job,
-    integrated by reflect_meanfield's equations as one RK4 batch on
-    `drive`, the upsampled envelope.  Every job is integrated, a
-    dipole-free one too; _reflect_batch validates the jobs."""
+def _meanfield_rows(
+    grid, jobs, drive, envelope, record
+) -> list[tuple[np.ndarray | None, dict, tuple[float, complex]]]:
+    """(<c> trajectory, diagnostics, integrals) of each (alpha, state, params)
+    job, integrated by reflect_meanfield's equations as one RK4 batch on
+    `drive`, the upsampled `envelope`.  Every job is integrated, a
+    dipole-free one too; _reflect_batch validates the jobs.  The integrals
+    are _reflection's (energy, overlap) of g = alpha f + sqrt(kappa) <c>:
+    trapezoid sums of |g|^2 and conj(f) g taken as the batch steps.  The
+    trajectory is None unless `record`.
+    """
     p = _shared_params(jobs)
     n = grid.n_samples
     b_size = len(jobs)
@@ -374,7 +395,7 @@ def _meanfield_rows(grid, jobs, drive) -> list[tuple[np.ndarray, dict]]:
     ge4 = 4.0 * ge
     sk_b = np.full(b_size, math.sqrt(p.kappa), dtype=complex)
     decay = -(1j * -p.detuning + p.kappa / 2.0)
-    c_traj = np.empty((b_size, n), dtype=complex)
+    c_traj = np.empty((b_size, n), dtype=complex) if record else None
     max_s = np.zeros(b_size)
     max_z = np.full(b_size, -1.0)
 
@@ -438,22 +459,56 @@ def _meanfield_rows(grid, jobs, drive) -> list[tuple[np.ndarray, dict]]:
         return rhs
 
     def forcing(d):
-        return mul(sk_b, mul(d[:, None], alpha))
+        rows = mul(d[:, None], alpha)
+        return mul(sk_b, rows, rows)
+
+    # The integrals, sample by sample.  g is formed as the array path forms
+    # it, and each row again rounds as its one-row form; [g, <c>] side by
+    # side give |g|^2 and |<c>|^2 by one square and one add of a float view.
+    env, env_conj = envelope.tolist(), np.conj(envelope).tolist()
+    ends = (0, n - 1)
+    g_c = np.empty((2, b_size), dtype=complex)
+    g, c_now = g_c
+    g_c_floats = g_c.view(float)
+    squares = np.empty_like(g_c_floats)
+    mag2 = np.empty((2, b_size))
+    g_mag2, c_mag2 = mag2
+    term = np.empty(b_size, dtype=complex)          # sqrt(kappa) <c>, then conj(f) g
+    energy_sum, cross_sum = np.zeros(b_size), np.zeros(b_size, dtype=complex)
+    peak_photon = np.zeros(b_size)
 
     def on_sample(k, y):
-        c_traj[:, k] = y[0]
+        c = y[0]
+        if record:
+            c_traj[:, k] = c
         # hypot rounds as the scalar abs does; np.abs of an array may not
         np.maximum(max_s, np.hypot(y[1].real, y[1].imag), out=max_s)
         np.maximum(max_z, y[2].real, out=max_z)
+        np.copyto(c_now, c)
+        mul(alpha, env[k], g)
+        add(g, mul(sk_b, c, term), g)
+        mul(g_c_floats, g_c_floats, squares)
+        add(squares[:, 0::2], squares[:, 1::2], mag2)
+        np.maximum(peak_photon, c_mag2, out=peak_photon)
+        mul(g, env_conj[k], term)
+        if k in ends:       # the trapezoid's half weights
+            mul(g_mag2, 0.5, g_mag2)
+            mul(term, 0.5, term)
+        add(energy_sum, g_mag2, energy_sum)
+        add(cross_sum, term, cross_sum)
 
     y0 = np.zeros((3, b_size), dtype=complex)
     y0[2] = -1.0
     _rk4(bind, y0, drive, forcing, grid, on_sample)
 
-    return [
-        (c, _meanfield_diagnostics(float(np.max(np.abs(c) ** 2)), s, z))
-        for c, s, z in zip(c_traj, max_s, max_z)
-    ]
+    rows = []
+    for c, e, x, peak, s, z in zip(c_traj if record else [None] * b_size, energy_sum.tolist(),
+                                   cross_sum.tolist(), peak_photon.tolist(), max_s, max_z):
+        energy = grid.dt * e
+        # _reflection refuses a zero field; a NaN one makes the overlap NaN
+        ov = grid.dt * x / math.sqrt(energy) if energy != 0 else 0j
+        rows.append((c, _meanfield_diagnostics(peak, s, z), (energy, ov)))
+    return rows
 
 
 def reflect_meanfield(
@@ -479,7 +534,7 @@ def reflect_meanfield(
     MEANFIELD_EXCITATION_BOUND, past which the factorisation error is
     larger than the backend's stated accuracy.
     """
-    return next(_reflect_batch(f_in, [(alpha, state, params)], "meanfield"))
+    return next(_reflect_batch(f_in, [(alpha, state, params)], "meanfield", True))
 
 
 def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
@@ -577,7 +632,10 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
     rho = _rk4(bind, rho, drive, forcing, grid, on_sample, end + 1)
     if end < n - 1:
         weights = [*op_t.values(), np.eye(d)]
-        tail, rho = _free_decay(space, gen_eff, params, grid.dt / _SUBSTEPS, rho, weights, n - 1 - end)
+        # one set of sector maps per coupling: a sweep's rows share two (00 and 01)
+        _, first, which = np.unique(g_eff, return_index=True, return_inverse=True)
+        tail, rho = _free_decay(space, gen_eff[first], which, params, grid.dt / _SUBSTEPS, rho,
+                                weights, n - 1 - end)
         for name, rec in zip(records, tail[:, :, :-1].T):
             records[name][:, end + 1 :] = rec
         np.maximum(drift, np.abs(tail[:, :, -1] - 1.0).max(axis=0), out=drift)
@@ -587,15 +645,17 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
     return records, rho, drift
 
 
-def _free_decay(space, gen, params, h, rho, weights, intervals):
+def _free_decay(space, gen, which, params, h, rho, weights, intervals):
     """The batch rho relaxed with no drive over `intervals` grid intervals,
     in closed form: (tr(rho w) for each of `weights` after each interval,
     shaped (intervals, B, len(weights)), and the final states).
 
-    gen[k] = -i H_eff of row k.  With no drive the generator L is constant,
-    and an RK4 step on rho' = L rho is exactly rho <- P(hL) rho with P(z) =
-    1 + z + z^2/2 + z^3/6 + z^4/24, so a grid interval is P(hL)^_SUBSTEPS:
-    the RK4 step in closed form, as in _bare_cavity_field.  H then conserves
+    gen[u] = -i H_eff of coupling u, and row k of rho has coupling
+    which[k]: the maps below are built once per coupling and indexed per
+    row.  With no drive the generator L is constant, and an RK4 step on
+    rho' = L rho is exactly rho <- P(hL) rho with P(z) = 1 + z + z^2/2 +
+    z^3/6 + z^4/24, so a grid interval is P(hL)^_SUBSTEPS: the RK4 step in
+    closed form, as in _bare_cavity_field.  H then conserves
     N = c^d c + s+ s-, and both jumps lower N on both sides of rho, so L
     keeps each coherence order m = N(row) - N(col) to itself (B. Buca and
     T. Prosen, New J. Phys. 14, 073007 (2012)); a block L_m is at most
@@ -626,11 +686,12 @@ def _free_decay(space, gen, params, h, rho, weights, intervals):
         m, v = interval(i, j), rho[:, i, j, None]
         w = np.array([wt[i, j] for wt in weights])
         if w.any():
+            m = m[which]
             for t in range(intervals):
                 v = m @ v
                 out[t] += w @ v
         else:
-            v = np.linalg.matrix_power(m, intervals) @ v
+            v = np.linalg.matrix_power(m, intervals)[which] @ v
         final[:, i, j] = v[..., 0]
     return out[..., 0], final
 
@@ -641,12 +702,13 @@ def _master_diagnostics(peak_photon, trace_drift, fock_tail, min_eigenvalue) -> 
             "min_eigenvalue": min_eigenvalue, "unreliable": fock_tail > FOCK_TAIL_BOUND}
 
 
-def _master_rows(grid, jobs, drive, fock_dim: int) -> list[tuple[np.ndarray, dict]]:
-    """(<c> trajectory, diagnostics) of each (alpha, state, params) job,
+def _master_rows(grid, jobs, drive, fock_dim: int) -> list[tuple[np.ndarray, dict, None]]:
+    """(<c> trajectory, diagnostics, None) of each (alpha, state, params) job,
     from the density matrix propagated as one RK4 batch on `drive`, the
     upsampled envelope; _reflect_batch validates the jobs.  fock_tail is
     the peak over the run of the top two Fock levels' population, since the
-    cavity is empty again by the end."""
+    cavity is empty again by the end.  The rows carry no integrals: they
+    are taken from the trajectory (_field_integrals)."""
     space = HilbertSpace(fock_dim)
     C = space.cavity_op()
     top_two = np.diag((np.arange(space.dim) % fock_dim >= fock_dim - 2).astype(complex))
@@ -662,7 +724,7 @@ def _master_rows(grid, jobs, drive, fock_dim: int) -> list[tuple[np.ndarray, dic
     )
     n_peak, tail_peak = (records[name].real.max(axis=1).tolist() for name in ("n", "tail"))
     return [
-        (c, _master_diagnostics(n, d, tail, DensityMatrix(space, r).min_eigenvalue()))
+        (c, _master_diagnostics(n, d, tail, DensityMatrix(space, r).min_eigenvalue()), None)
         for c, n, d, tail, r in zip(records["c"], n_peak, drift.tolist(), tail_peak, rho)
     ]
 
@@ -699,19 +761,20 @@ def _bare_cavity_field(params: DeviceParams, drive, grid) -> np.ndarray:
     return np.array(list(accumulate(u_m, lambda c, x: r_m * c + x, initial=0j)))
 
 
-def _bare_row(c_traj, backend: str) -> tuple[np.ndarray, dict]:
-    """(c_traj, diagnostics) of a dipole-free job: the diagnostics of the
+def _bare_row(c_traj, backend: str) -> tuple[np.ndarray, dict, None]:
+    """(c_traj, diagnostics, None) of a dipole-free job: the diagnostics of the
     exact state, a coherent cavity field and a charge left in its ground
     state.  meanfield: <s> = 0 and <z> = -1 throughout.  master: no trace
     drift, a zero eigenvalue and a zero Fock tail: the exact field used no
     truncated space, so the row is never flagged."""
     peak_photon = float(np.max(np.abs(c_traj) ** 2))
     if backend == "meanfield":
-        return c_traj, _meanfield_diagnostics(peak_photon, 0.0, -1.0)
-    return c_traj, _master_diagnostics(peak_photon, 0.0, 0.0, 0.0)
+        return c_traj, _meanfield_diagnostics(peak_photon, 0.0, -1.0), None
+    return c_traj, _master_diagnostics(peak_photon, 0.0, 0.0, 0.0), None
 
 
-def _reflect_batch(f_in: Pulse, jobs, backend: str, fock_dim=DEFAULT_FOCK_DIM) -> Iterator[ReflectionResult]:
+def _reflect_batch(f_in: Pulse, jobs, backend: str, fields: bool,
+                   fock_dim=DEFAULT_FOCK_DIM) -> Iterator[ReflectionResult]:
     """meanfield or master reflection of each (alpha, state, params) job.
 
     A job whose state couples no dipole (g_eff = 0) meets a bare, exactly
@@ -726,8 +789,12 @@ def _reflect_batch(f_in: Pulse, jobs, backend: str, fock_dim=DEFAULT_FOCK_DIM) -
     the integration run at the call; master's Fock truncation is judged
     by what the coupled rows measure, their peak tail (see _master_rows).
     The returned iterator decomposes a job when it is consumed, so a
-    caller that keeps one result at a time holds only the batch's <c>
-    record and that result.
+    caller that keeps one result at a time holds only the batch's rows and
+    that result.  With `fields`, a result carries f_out and its <c>
+    trajectory (diagnostics["c_trajectory"]); without, f_out is None, the
+    diagnostics hold no trajectory and meanfield records none.  meanfield
+    decomposes its coupled jobs by the integrals it accumulates either way
+    (see _meanfield_rows), master and the bare jobs by their trajectories.
     """
     if not f_in.is_normalized():
         raise ValueError("input pulse must be normalized")
@@ -739,25 +806,31 @@ def _reflect_batch(f_in: Pulse, jobs, backend: str, fock_dim=DEFAULT_FOCK_DIM) -
     # ahead of the batch, so that its temporaries do not stack on the batch's record
     c_unit = _bare_cavity_field(_shared_params(jobs), drive, f_in.grid) if any(bare) else None
     # A step too coarse for the batch overflows to inf and NaN; that is
-    # reported once, as a NumericsError from _decompose's finite check or
+    # reported once, as a NumericsError from a finite check (of meanfield's
+    # integrals in _reflection, of a trajectory in _field_integrals) or
     # master's trace drift check, not as numpy warnings along the way.
     with np.errstate(over="ignore", invalid="ignore"):
         if not coupled:
             rows = []
         elif backend == "meanfield":
-            rows = _meanfield_rows(f_in.grid, coupled, drive)
+            rows = _meanfield_rows(f_in.grid, coupled, drive, f_in.envelope, fields)
         else:
             rows = _master_rows(f_in.grid, coupled, _zero_after_pulse(drive, f_in.envelope), fock_dim)
-    return _decomposed(f_in, jobs, backend, bare, iter(rows), c_unit)
+    return _decomposed(f_in, jobs, backend, bare, iter(rows), c_unit, fields)
 
 
-def _decomposed(f_in, jobs, backend, bare, rows, c_unit) -> Iterator[ReflectionResult]:
+def _decomposed(f_in, jobs, backend, bare, rows, c_unit, fields) -> Iterator[ReflectionResult]:
     """_reflect_batch's results, one job at a time: a bare job scales
-    c_unit, a coupled one takes the next of `rows`."""
+    c_unit, a coupled one takes the next of `rows`.  A row without
+    integrals takes them from its trajectory."""
     for (a, st, q), is_bare in zip(jobs, bare):
-        c_traj, diags = _bare_row(a * c_unit, backend) if is_bare else next(rows)
-        g_out = a * f_in.envelope + math.sqrt(q.kappa) * c_traj
-        yield _decompose(f_in, g_out, a, st, q, backend, {"c_trajectory": c_traj, **diags})
+        c_traj, diags, integrals = _bare_row(a * c_unit, backend) if is_bare else next(rows)
+        g_out = None if c_traj is None else a * f_in.envelope + math.sqrt(q.kappa) * c_traj
+        if integrals is None:
+            integrals = _field_integrals(f_in, g_out, backend)
+        if fields:
+            diags = {"c_trajectory": c_traj, **diags}
+        yield _reflection(f_in, *integrals, g_out if fields else None, a, st, q, backend, diags)
 
 
 def reflect_master(
@@ -772,7 +845,7 @@ def reflect_master(
     A dipole-free state (g_eff = 0) takes the exact bare-cavity field of
     _bare_cavity_field, as in meanfield, and the diagnostics of _bare_row.
     """
-    return next(_reflect_batch(f_in, [(alpha, state, params)], "master", fock_dim))
+    return next(_reflect_batch(f_in, [(alpha, state, params)], "master", True, fock_dim))
 
 
 def _analytic_result(
@@ -805,7 +878,7 @@ _RUN_LABELS = ("00", "01", "11")     # 10 mirrors 01
 
 
 def scatter_batch(
-    f_in: Pulse, points, backend: str, fock_dim: int = DEFAULT_FOCK_DIM
+    f_in: Pulse, points, backend: str, fock_dim: int = DEFAULT_FOCK_DIM, fields: bool = True
 ) -> Iterator[dict[str, ReflectionResult]]:
     """scatter_all_states at each (alpha, params) point, as an iterator.
 
@@ -817,7 +890,11 @@ def scatter_batch(
 
     Every check (_check_amplitude of each point too) and the batch
     integration run at the call; a point's results are built as it is
-    consumed, so a sweep holds one point's output fields at a time.
+    consumed, so a sweep holds one point's results at a time.  Without
+    `fields`, meanfield and master results carry no output field (f_out
+    is None) and no <c> trajectory, and meanfield keeps no trajectory
+    while it steps (see _reflect_batch); the linear backends always
+    carry f_out.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -826,7 +903,7 @@ def scatter_batch(
             _check_amplitude(a)
         return _linear_points(f_in, points, backend)
     jobs = [(a, joint_state(lab), p) for a, p in points for lab in _RUN_LABELS]
-    flat = _reflect_batch(f_in, jobs, backend, fock_dim)
+    flat = _reflect_batch(f_in, jobs, backend, fields, fock_dim)
     # zip over one iterator, repeated, takes its items in consecutive groups
     return map(_with_mirror, zip(*[flat] * len(_RUN_LABELS)))
 

@@ -229,14 +229,18 @@ def rk4_reference(rhs, y0, drive, grid, on_sample) -> np.ndarray:
     return y
 
 
-def meanfield_reference_rows(grid, jobs, drive) -> list[tuple[np.ndarray, dict]]:
-    """(<c> trajectory, diagnostics) of each (alpha, state, params) job by
-    the meanfield equations, as one batch under rk4_reference.
+def meanfield_reference_rows(grid, jobs, drive, envelope) -> list[tuple[np.ndarray, dict, tuple]]:
+    """(<c> trajectory, diagnostics, integrals) of each (alpha, state,
+    params) job by the meanfield equations, as one batch under
+    rk4_reference.
 
     The jobs share kappa, t1 and detuning; drive is the upsampled unit
     envelope.  Every product here is written as a plain expression, one
     ufunc call each, with the rounding rules below; the package's
-    stepper must reproduce these trajectories bit for bit.
+    stepper must reproduce these trajectories bit for bit, and its
+    integrals too: (energy, overlap) of g = alpha f + sqrt(kappa) <c>, the
+    trapezoid sums of |g|^2 and conj(f) g taken sample by sample in grid
+    order, the overlap divided by sqrt(energy).
     """
     p = jobs[0][2]
     n = grid.n_samples
@@ -256,6 +260,7 @@ def meanfield_reference_rows(grid, jobs, drive) -> list[tuple[np.ndarray, dict]]
     c_traj = np.empty((b_size, n), dtype=complex)
     max_s = np.zeros(b_size)
     max_z = np.full(b_size, -1.0)
+    energy, cross, peak_photon = np.zeros(b_size), np.zeros(b_size, dtype=complex), np.zeros(b_size)
 
     # numpy's vector loops may fuse the multiply-adds of a complex product;
     # its scalar arithmetic does not.  So each product below has a real or
@@ -272,21 +277,29 @@ def meanfield_reference_rows(grid, jobs, drive) -> list[tuple[np.ndarray, dict]]
         return np.array([dc, ds, dz])
 
     def on_sample(k, y):
-        c_traj[:, k] = y[0]
+        c = y[0]
+        c_traj[:, k] = c
         np.maximum(max_s, np.hypot(y[1].real, y[1].imag), out=max_s)
         np.maximum(max_z, y[2].real, out=max_z)
+        np.maximum(peak_photon, c.real * c.real + c.imag * c.imag, out=peak_photon)
+        g = alpha * complex(envelope[k]) + sk_b * c
+        weight = 0.5 if k in (0, n - 1) else 1.0
+        energy[:] += (g.real * g.real + g.imag * g.imag) * weight
+        cross[:] += (g * complex(envelope[k]).conjugate()) * weight
 
     y0 = np.zeros((3, b_size), dtype=complex)
     y0[2] = -1.0
     rk4_reference(rhs, y0, drive, grid, on_sample)
-    return [
-        (
+    rows = []
+    for k in range(b_size):
+        e = grid.dt * float(energy[k])
+        rows.append((
             c_traj[k],
             {
-                "peak_photon": float(np.max(np.abs(c_traj[k]) ** 2)),
+                "peak_photon": float(peak_photon[k]),
                 "max_sigma_abs": float(max_s[k]),
                 "peak_excitation": float((1.0 + max_z[k]) / 2.0),
             },
-        )
-        for k in range(b_size)
-    ]
+            (e, grid.dt * complex(cross[k]) / math.sqrt(e)),
+        ))
+    return rows

@@ -250,18 +250,33 @@ def test_batched_sweep_matches_single_points(ref, meanfield_ref_runs):
     assert sweep_photon_number(ref, [0.0], backend="master")[0].fidelity == 1.0
 
 
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_sweep_memory_does_not_grow_with_its_points(ref):
     # scatter_batch hands a sweep one point's results at a time, so its
     # traced peak stays near one point's fields: 0.73 against 0.74 MB at
     # 100 and 10 points, where keeping every point's results gave 14.1
     # against 1.8 MB
-    def peak(n):
-        tracemalloc.start()
-        try:
-            sweep_coupling_variation(ref, np.linspace(-0.5, 0.5, n), 1.0, backend="filter")
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    small, large = peak(10), peak(100)
+    small, large = (_traced_peak(lambda: sweep_coupling_variation(
+        ref, np.linspace(-0.5, 0.5, n), 1.0, backend="filter")) for n in (10, 100))
     assert large < 1.5 * small, (small, large)
+
+
+def test_meanfield_sweep_keeps_no_trajectory(ref):
+    # a meanfield sweep's rows accumulate the integrals they are decomposed
+    # from and record no trajectory.  From 10 to 100 points (180 more rows)
+    # its traced peak grows by the batch's working rows, such as the 2
+    # _CHUNK + 1 forcing values a row, and by the points' results: 1.12 MB
+    # here, where a trajectory a row is 2.03 MB (recording them grew the
+    # peak 0.55 -> 3.97 MB)
+    samples = 705
+    small, large = (_traced_peak(lambda: sweep_photon_number(
+        ref, np.linspace(0.1, 1.0, n), backend="meanfield", n_samples=samples)) for n in (10, 100))
+    assert large - small < 180 * samples * 16, (small, large)

@@ -290,7 +290,8 @@ def test_bare_cavity_recurrence_matches_rk4(ref, ref_pulse, bare_lab_frame_runs,
         # a complex amplitude: the recurrence runs at unit amplitude and is scaled
         a_c = alpha * (0.6 - 0.8j)
         mf = reflect_meanfield(ref_pulse, a_c, st, p)
-        rk4_c, rk4_diags = _meanfield_rows(ref_pulse.grid, [(a_c, st, p)], drive)[0]
+        rk4_c, rk4_diags, _ = _meanfield_rows(ref_pulse.grid, [(a_c, st, p)], drive,
+                                              ref_pulse.envelope, True)[0]
         got = mf.diagnostics["c_trajectory"]
         assert np.abs(got - rk4_c).max() <= 1e-13 * np.abs(rk4_c).max(), det
 
@@ -328,7 +329,8 @@ def test_bare_cavity_recurrence_follows_substeps(ref, ref_pulse, monkeypatch):
     monkeypatch.setattr(scattering, "_SUBSTEPS", 2)
     drive = _upsample(ref_pulse.envelope)
     a = 0.3 - 0.4j
-    rk4_c, _ = _meanfield_rows(ref_pulse.grid, [(a, joint_state("11"), ref)], drive)[0]
+    job = (a, joint_state("11"), ref)
+    rk4_c, _, _ = _meanfield_rows(ref_pulse.grid, [job], drive, ref_pulse.envelope, True)[0]
     got = a * _bare_cavity_field(ref, drive, ref_pulse.grid)
     assert np.abs(got - rk4_c).max() <= 1e-13 * np.abs(rk4_c).max()
 
@@ -353,27 +355,79 @@ def test_batch_elements_equal_single_runs(ref, ref_tau):
 
 
 def _meanfield_bytes(row):
-    c, diags = row
+    c, diags, integrals = row
     keys = ("peak_photon", "peak_excitation", "max_sigma_abs")
-    return [c.tobytes()] + [np.float64(diags[key]).tobytes() for key in keys]
+    return [c.tobytes(), np.array(integrals).tobytes()] + [np.float64(diags[key]).tobytes() for key in keys]
 
 
 @pytest.mark.parametrize("detuning, n_samples", [(0.0, 705), (0.3, 705), (0.3, 700)])
 def test_meanfield_rows_equal_reference_loop(ref, ref_tau, detuning, n_samples):
-    # the stepper's in-place rhs against the one-array-per-operation loop
-    # it replaced, bit for bit, at amplitudes from linear to saturated;
-    # 700 samples end on a partial forcing chunk
+    # the stepper's in-place rhs and its streamed integrals against the
+    # one-array-per-operation loop it replaced, bit for bit, at amplitudes
+    # from linear to saturated; 700 samples end on a partial forcing chunk
     pulse = gaussian_pulse(ref_tau, default_grid(ref_tau, ref.kappa, n_samples=n_samples))
     drive = _upsample(pulse.envelope)
     p = dataclasses.replace(ref, detuning=detuning * ref.kappa)
     jobs = [(a, joint_state(lab), p) for a in (0.1, 1, 5, 22, 0.7 - 0.4j) for lab in ("00", "01")]
-    rows = _meanfield_rows(pulse.grid, jobs, drive)
-    want = meanfield_reference_rows(pulse.grid, jobs, drive)
+    rows = _meanfield_rows(pulse.grid, jobs, drive, pulse.envelope, True)
+    want = meanfield_reference_rows(pulse.grid, jobs, drive, pulse.envelope)
     for k, (got, ref_row) in enumerate(zip(rows, want)):
         assert _meanfield_bytes(got) == _meanfield_bytes(ref_row), jobs[k][:2]
-    # a job alone rounds as its row of the batch
-    alone = _meanfield_rows(pulse.grid, jobs[7:8], drive)[0]
+    # a job alone rounds as its row of the batch, and a row without its
+    # record keeps the same integrals and diagnostics
+    alone = _meanfield_rows(pulse.grid, jobs[7:8], drive, pulse.envelope, True)[0]
     assert _meanfield_bytes(alone) == _meanfield_bytes(rows[7])
+    for got, unrecorded in zip(rows, _meanfield_rows(pulse.grid, jobs, drive, pulse.envelope, False)):
+        assert unrecorded[0] is None and unrecorded[1:] == got[1:]
+
+
+def test_meanfield_integrals_match_decompose(ref, ref_pulse):
+    # meanfield decomposes a job from the trapezoid sums it accumulates as
+    # it steps, not from its trajectory array: against _decompose on the
+    # recorded trajectory, epsilon and the phase agree to 1e-13 relative
+    # and eta to 1e-10 (1 - E/|alpha|^2 cancels; 3.0e-14, 2.6e-15 and
+    # 1.7e-11 measured).  Detuned, so that no phase is rounding noise.
+    # Without fields a result carries no f_out and no trajectory, and
+    # the same epsilon, eta and phase
+    p = dataclasses.replace(ref, detuning=0.3 * ref.kappa)
+    points = [(a, p) for a in (0.1, 1, 5, 20)]
+    with_fields, without = (scatter_batch(ref_pulse, points, "meanfield", fields=f) for f in (True, False))
+    for (a, _), res, bare in zip(points, with_fields, without):
+        for lab in ("00", "01"):
+            r = res[lab]
+            g_out = a * ref_pulse.envelope + math.sqrt(p.kappa) * r.diagnostics["c_trajectory"]
+            want = _decompose(ref_pulse, g_out, a, r.state, p, "meanfield", {})
+            assert r.epsilon == pytest.approx(want.epsilon, rel=1e-13, abs=0), (a, lab)
+            assert r.phase == pytest.approx(want.phase, rel=1e-13, abs=0), (a, lab)
+            assert r.eta == pytest.approx(want.eta, rel=1e-10, abs=0), (a, lab)
+            np.testing.assert_allclose(r.f_out.envelope, want.f_out.envelope, rtol=0,
+                                       atol=1e-14 * np.abs(want.f_out.envelope).max())
+            assert bare[lab].f_out is None and "c_trajectory" not in bare[lab].diagnostics
+            assert (bare[lab].epsilon, bare[lab].eta, bare[lab].phase) == (r.epsilon, r.eta, r.phase)
+
+
+@pytest.mark.parametrize("n_samples", [9, 10, 705, 2816, 2817])
+def test_upsample_is_the_trigonometric_interpolant(ref, ref_tau, n_samples):
+    # the interpolant of a real envelope is real and passes through its
+    # samples (an odd grid once put bin (m-1)/2 at -(m+1)/2: 0.15 of peak
+    # imaginary at 9 samples), and a band-limited complex signal is
+    # interpolated exactly, its highest bins on both sides too
+    factor = 2 * scattering._SUBSTEPS
+    env = gaussian_pulse(ref_tau, default_grid(ref_tau, ref.kappa, n_samples=n_samples)).envelope
+    fine = _upsample(env)
+    peak = np.abs(env).max()
+    assert fine.shape == (factor * n_samples,)
+    assert np.abs(fine.imag).max() <= 1e-15 * peak
+    assert np.abs(fine[::factor] - env).max() <= 1e-15 * peak
+    top = (n_samples - 1) // 2
+    bins = {top: 0.5, -top: 0.25 - 0.5j, 1: 1.0, -2: 0.3j}
+
+    def tone(k, per):       # at t = k / per grid steps, the phase reduced exactly
+        m = per * n_samples
+        return sum(a * np.exp(2j * math.pi * (q * k % m) / m) for q, a in bins.items())
+
+    got = _upsample(tone(np.arange(n_samples), 1))
+    assert np.abs(got - tone(np.arange(factor * n_samples), factor)).max() <= 1e-13
 
 
 def test_rk4_partial_chunk_keeps_y0_and_each_record(ref, ref_tau):
@@ -558,7 +612,7 @@ def test_master_ring_down_matches_full_rk4(ref, ref_tau, alpha):
     assert _upsample(pulse.envelope)[-1] != 0
     jobs = [(alpha, joint_state(lab), ref) for lab in ("00", "01")]
     space = HilbertSpace(12)
-    for (a, st, p), r in zip(jobs, scattering._reflect_batch(pulse, jobs, "master", 12)):
+    for (a, st, p), r in zip(jobs, scattering._reflect_batch(pulse, jobs, "master", True, 12)):
         records, _, _ = master_run(space, st.g_eff(p.g_coupling), p, pulse.grid, a * pulse.envelope,
                                    DensityMatrix.ground(space))
         want = records["c"]

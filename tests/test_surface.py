@@ -57,7 +57,7 @@ def test_traced_names_resolve_and_public_names_pinned():
     # the batch kernels every meanfield and master run goes through, which
     # a per-batch span wraps: their positional parameters, all required
     for fn, params in (
-        (scattering._meanfield_rows, ["grid", "jobs", "drive"]),
+        (scattering._meanfield_rows, ["grid", "jobs", "drive", "envelope", "record"]),
         (scattering._evolve_master_batch,
          ["space", "g_eff", "params", "grid", "drive", "scale", "rho", "ops"]),
     ):
