@@ -7,7 +7,7 @@ tool.  The charge space is always two-level, index 0 = ground |0>, index
 products are charge-major, i.e. np.kron(charge_op, fock_op), so composite
 index i = charge * fock_dim + n holds |charge>|n>, and the diagonal of a
 density matrix is the ground block's Fock populations followed by the
-excited block's (DensityMatrix.fock_tail reads them there).  The
+excited block's (HilbertSpace.fock_tail_levels picks them there).  The
 master-equation rhs in scattering relies on this layout: on the flat view
 of rho (entry (i, j) at i * dim + j), c rho c^dagger is a shift by dim + 1
 and sigma_- rho sigma_+, which moves the excited block onto the ground
@@ -61,6 +61,11 @@ class HilbertSpace:
         """sigma_minus embedded in the composite space."""
         return np.kron(sigma_minus(), np.eye(self.fock_dim, dtype=complex))
 
+    def fock_tail_levels(self) -> np.ndarray:
+        """Mask of the composite indices whose population monitors the Fock
+        truncation: the top two Fock levels of both charge blocks."""
+        return np.arange(self.dim) % self.fock_dim >= self.fock_dim - 2
+
 
 @dataclass
 class DensityMatrix:
@@ -86,7 +91,5 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
     def fock_tail(self) -> float:
-        """Population of the top two Fock levels (truncation monitor),
-        summed over both charge blocks."""
-        populations = np.diagonal(self.matrix).real.reshape(2, self.space.fock_dim)
-        return float(populations[:, -2:].sum())
+        """Population of HilbertSpace.fock_tail_levels (truncation monitor)."""
+        return float(np.diagonal(self.matrix).real[self.space.fock_tail_levels()].sum())

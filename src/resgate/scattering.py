@@ -275,21 +275,20 @@ def _upsample(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _zero_after_pulse(drive: np.ndarray, envelope: np.ndarray) -> np.ndarray:
-    """`drive`, the upsampled `envelope`, with exact zeros from the pulse's end on.
+def _zero_after_pulse(drive: np.ndarray, envelope: np.ndarray) -> None:
+    """Write exact zeros into `drive`, the upsampled `envelope`, from the pulse's end on.
 
     The pulse ends where its envelope first stays below 2^-53 of its peak.
     Past that point the interpolant holds only the ringing of the periodic
     FFT (the envelope's two ends differ), about 1.2e-11 of peak on the
     default grid and finer ones.  master relaxes its rows in closed form
     over a trailing run of exact zeros (see _free_decay), so it takes this
-    drive; meanfield and _bare_cavity_field keep the interpolant.
+    drive; meanfield and _bare_cavity_field read the interpolant before it
+    is zeroed.
     """
     mag = np.abs(envelope)
     end = np.flatnonzero(mag >= 2.0**-53 * mag.max())[-1] + 1
-    out = drive.copy()
-    out[2 * _SUBSTEPS * end :] = 0.0
-    return out
+    drive[2 * _SUBSTEPS * end :] = 0.0
 
 
 def _rk4(bind, y, drive, forcing, grid, on_sample, samples=None):
@@ -342,6 +341,7 @@ def _rk4(bind, y, drive, forcing, grid, on_sample, samples=None):
     for j in range(_SUBSTEPS * ((samples or grid.n_samples) - 1)):
         i = 2 * (j % _CHUNK)
         if i == 0:
+            rows = None         # the last chunk is let go before the next is built
             rows = list(forcing(drive[2 * j : 2 * j + 2 * _CHUNK + 1]))
         f1(rows[i])
         add(y, mul(half_h, k1, stage), stage)
@@ -611,6 +611,7 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
         return rhs
 
     def forcing(dr):
+        last_row[0] = None      # a row of the last chunk would keep its arrays
         u = sk * ((dr[:, None] * scale)[:, :, None] * c_sup)
         return zip(eff_sup + np.conj(u), eff_sub - u)
 
@@ -702,30 +703,29 @@ def _master_diagnostics(peak_photon, trace_drift, fock_tail, min_eigenvalue) -> 
             "min_eigenvalue": min_eigenvalue, "unreliable": fock_tail > FOCK_TAIL_BOUND}
 
 
-def _master_rows(grid, jobs, drive, fock_dim: int) -> list[tuple[np.ndarray, dict, None]]:
-    """(<c> trajectory, diagnostics, None) of each (alpha, state, params) job,
-    from the density matrix propagated as one RK4 batch on `drive`, the
-    upsampled envelope; _reflect_batch validates the jobs.  fock_tail is
-    the peak over the run of the top two Fock levels' population, since the
-    cavity is empty again by the end.  The rows carry no integrals: they
-    are taken from the trajectory (_field_integrals)."""
+def _master_rows(f_in, jobs, drive, fock_dim: int) -> list[tuple[np.ndarray, dict, tuple[float, complex]]]:
+    """(<c> trajectory, diagnostics, integrals) of each (alpha, state, params)
+    job, from the density matrix propagated as one RK4 batch on `drive`, the
+    upsampled envelope of f_in; _reflect_batch validates the jobs.  fock_tail
+    is the peak population of HilbertSpace.fock_tail_levels, as the cavity is
+    empty again by the end; the integrals are _field_integrals of g_out."""
     space = HilbertSpace(fock_dim)
     C = space.cavity_op()
-    top_two = np.diag((np.arange(space.dim) % fock_dim >= fock_dim - 2).astype(complex))
     records, rho, drift = _evolve_master_batch(
         space,
         np.array([st.g_eff(q.g_coupling) for _, st, q in jobs]),
         _shared_params(jobs),
-        grid,
+        f_in.grid,
         drive,
         np.array([a for a, _, _ in jobs], dtype=complex),
         np.repeat(DensityMatrix.ground(space).matrix[None], len(jobs), axis=0),
-        {"c": C, "n": C.conj().T @ C, "tail": top_two},
+        {"c": C, "n": C.conj().T @ C, "tail": np.diag(space.fock_tail_levels().astype(complex))},
     )
     n_peak, tail_peak = (records[name].real.max(axis=1).tolist() for name in ("n", "tail"))
     return [
-        (c, _master_diagnostics(n, d, tail, DensityMatrix(space, r).min_eigenvalue()), None)
-        for c, n, d, tail, r in zip(records["c"], n_peak, drift.tolist(), tail_peak, rho)
+        (c, _master_diagnostics(n, d, tail, DensityMatrix(space, r).min_eigenvalue()),
+         _field_integrals(f_in, a * f_in.envelope + math.sqrt(q.kappa) * c, "master"))
+        for (a, _, q), c, n, d, tail, r in zip(jobs, records["c"], n_peak, drift.tolist(), tail_peak, rho)
     ]
 
 
@@ -761,16 +761,17 @@ def _bare_cavity_field(params: DeviceParams, drive, grid) -> np.ndarray:
     return np.array(list(accumulate(u_m, lambda c, x: r_m * c + x, initial=0j)))
 
 
-def _bare_row(c_traj, backend: str) -> tuple[np.ndarray, dict, None]:
-    """(c_traj, diagnostics, None) of a dipole-free job: the diagnostics of the
-    exact state, a coherent cavity field and a charge left in its ground
-    state.  meanfield: <s> = 0 and <z> = -1 throughout.  master: no trace
-    drift, a zero eigenvalue and a zero Fock tail: the exact field used no
-    truncated space, so the row is never flagged."""
-    peak_photon = float(np.max(np.abs(c_traj) ** 2))
-    if backend == "meanfield":
-        return c_traj, _meanfield_diagnostics(peak_photon, 0.0, -1.0), None
-    return c_traj, _master_diagnostics(peak_photon, 0.0, 0.0, 0.0), None
+def _bare_unit_row(f_in: Pulse, params: DeviceParams, drive, backend: str):
+    """(<c>, diagnostics, integrals) of a dipole-free job at unit amplitude:
+    the diagnostics of the exact state, a coherent cavity field and a charge
+    left in its ground state.  meanfield: <s> = 0 and <z> = -1 throughout.
+    master: no trace drift, a zero eigenvalue and a zero Fock tail: the
+    exact field used no truncated space, so the row is never flagged."""
+    c = _bare_cavity_field(params, drive, f_in.grid)
+    peak = float(np.max(np.abs(c) ** 2))
+    diags = (_meanfield_diagnostics(peak, 0.0, -1.0) if backend == "meanfield"
+             else _master_diagnostics(peak, 0.0, 0.0, 0.0))
+    return c, diags, _field_integrals(f_in, f_in.envelope + math.sqrt(params.kappa) * c, backend)
 
 
 def _reflect_batch(f_in: Pulse, jobs, backend: str, fields: bool,
@@ -778,23 +779,20 @@ def _reflect_batch(f_in: Pulse, jobs, backend: str, fields: bool,
     """meanfield or master reflection of each (alpha, state, params) job.
 
     A job whose state couples no dipole (g_eff = 0) meets a bare, exactly
-    linear cavity.  It takes _bare_cavity_field, evaluated once at unit
-    amplitude and scaled by its alpha, and never enters the RK4 batch;
-    the other jobs are integrated as one batch.  Both use the same
-    upsampled drive, except that master takes it with exact zeros from
-    the pulse's end on (_zero_after_pulse), over which its rows relax in
-    closed form.
+    linear cavity, whose field is alpha times that of _bare_unit_row, run
+    once: its energy and peak photon number scale by |alpha|^2 and its
+    overlap by alpha/|alpha|.  The other jobs are integrated as one batch
+    on the upsampled drive, which master then zeroes in place from the
+    pulse's end on (_zero_after_pulse) to relax its rows in closed form.
 
     The checks (the amplitude rule, the shared device, trace drift) and
     the integration run at the call; master's Fock truncation is judged
     by what the coupled rows measure, their peak tail (see _master_rows).
     The returned iterator decomposes a job when it is consumed, so a
     caller that keeps one result at a time holds only the batch's rows and
-    that result.  With `fields`, a result carries f_out and its <c>
-    trajectory (diagnostics["c_trajectory"]); without, f_out is None, the
-    diagnostics hold no trajectory and meanfield records none.  meanfield
-    decomposes its coupled jobs by the integrals it accumulates either way
-    (see _meanfield_rows), master and the bare jobs by their trajectories.
+    that result; every row carries its integrals.  With `fields`, a result
+    carries f_out and its <c> trajectory (diagnostics["c_trajectory"]);
+    without, neither, and meanfield and the bare jobs build no trajectory.
     """
     if not f_in.is_normalized():
         raise ValueError("input pulse must be normalized")
@@ -804,7 +802,7 @@ def _reflect_batch(f_in: Pulse, jobs, backend: str, fields: bool,
     bare = [st.g_eff(q.g_coupling) == 0 for _, st, q in jobs]
     coupled = [job for job, is_bare in zip(jobs, bare) if not is_bare]
     # ahead of the batch, so that its temporaries do not stack on the batch's record
-    c_unit = _bare_cavity_field(_shared_params(jobs), drive, f_in.grid) if any(bare) else None
+    unit = _bare_unit_row(f_in, _shared_params(jobs), drive, backend) if any(bare) else None
     # A step too coarse for the batch overflows to inf and NaN; that is
     # reported once, as a NumericsError from a finite check (of meanfield's
     # integrals in _reflection, of a trajectory in _field_integrals) or
@@ -815,20 +813,24 @@ def _reflect_batch(f_in: Pulse, jobs, backend: str, fields: bool,
         elif backend == "meanfield":
             rows = _meanfield_rows(f_in.grid, coupled, drive, f_in.envelope, fields)
         else:
-            rows = _master_rows(f_in.grid, coupled, _zero_after_pulse(drive, f_in.envelope), fock_dim)
-    return _decomposed(f_in, jobs, backend, bare, iter(rows), c_unit, fields)
+            _zero_after_pulse(drive, f_in.envelope)
+            rows = _master_rows(f_in, coupled, drive, fock_dim)
+    return _decomposed(f_in, jobs, backend, bare, iter(rows), unit, fields)
 
 
-def _decomposed(f_in, jobs, backend, bare, rows, c_unit, fields) -> Iterator[ReflectionResult]:
-    """_reflect_batch's results, one job at a time: a bare job scales
-    c_unit, a coupled one takes the next of `rows`.  A row without
-    integrals takes them from its trajectory."""
+def _decomposed(f_in, jobs, backend, bare, rows, unit, fields) -> Iterator[ReflectionResult]:
+    """_reflect_batch's results, one job at a time: a bare job scales the
+    unit row, a coupled one takes the next of `rows`."""
     for (a, st, q), is_bare in zip(jobs, bare):
-        c_traj, diags, integrals = _bare_row(a * c_unit, backend) if is_bare else next(rows)
-        g_out = None if c_traj is None else a * f_in.envelope + math.sqrt(q.kappa) * c_traj
-        if integrals is None:
-            integrals = _field_integrals(f_in, g_out, backend)
+        if is_bare:
+            c_unit, diags, (energy, ov) = unit
+            a2 = abs(a) ** 2
+            c_traj, integrals = a * c_unit if fields else None, (a2 * energy, a / abs(a) * ov)
+            diags = {**diags, "peak_photon": a2 * diags["peak_photon"]}
+        else:
+            c_traj, diags, integrals = next(rows)
         if fields:
+            g_out = a * f_in.envelope + math.sqrt(q.kappa) * c_traj
             diags = {"c_trajectory": c_traj, **diags}
         yield _reflection(f_in, *integrals, g_out if fields else None, a, st, q, backend, diags)
 
@@ -842,8 +844,7 @@ def reflect_master(
 ) -> ReflectionResult:
     """Density-matrix reflection, `unreliable` when its peak Fock tail passes FOCK_TAIL_BOUND.
 
-    A dipole-free state (g_eff = 0) takes the exact bare-cavity field of
-    _bare_cavity_field, as in meanfield, and the diagnostics of _bare_row.
+    A dipole-free state (g_eff = 0) scales the bare unit run, as in meanfield.
     """
     return next(_reflect_batch(f_in, [(alpha, state, params)], "master", True, fock_dim))
 
@@ -885,16 +886,15 @@ def scatter_batch(
     analytic and filter scatter once for each run of points on one device
     and rescale (see _linear_points).  meanfield and master integrate the
     coupled states (00, 01) of every point as one RK4 batch, so the points
-    must share kappa, t1 and detuning; state 11's bare cavity takes one
-    exact recurrence at every point (see _reflect_batch).
+    must share kappa, t1 and detuning; state 11 scales one run of the bare
+    cavity to every point (see _reflect_batch).
 
     Every check (_check_amplitude of each point too) and the batch
     integration run at the call; a point's results are built as it is
     consumed, so a sweep holds one point's results at a time.  Without
     `fields`, meanfield and master results carry no output field (f_out
-    is None) and no <c> trajectory, and meanfield keeps no trajectory
-    while it steps (see _reflect_batch); the linear backends always
-    carry f_out.
+    is None) and no <c> trajectory (see _reflect_batch); the linear
+    backends always carry f_out.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")

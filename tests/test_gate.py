@@ -16,6 +16,8 @@ from resgate.gate import (
     sweep_coupling_variation,
     sweep_photon_number,
 )
+from resgate.pulse import TimeGrid
+from resgate.qmath import DensityMatrix, HilbertSpace
 from resgate.scattering import STATE_LABELS, ReflectionResult, joint_state, scatter_all_states, xi_analytic
 
 
@@ -280,3 +282,38 @@ def test_meanfield_sweep_keeps_no_trajectory(ref):
     small, large = (_traced_peak(lambda: sweep_photon_number(
         ref, np.linspace(0.1, 1.0, n), backend="meanfield", n_samples=samples)) for n in (10, 100))
     assert large - small < 180 * samples * 16, (small, large)
+
+
+def test_master_holds_one_forcing_chunk(ref):
+    # _rk4 lets a forcing chunk go before it builds the next, and master's
+    # forcing drops the last row it copied, which would keep that chunk's
+    # two (2 _CHUNK + 1, B, d - 1) arrays alive.  Over three chunks at Fock
+    # 2, the traced peak grows by 3.7 such arrays a row (the chunk being
+    # built: u, a temporary and one diagonal; and the rows' state), where
+    # holding the last chunk grew it by 5.7
+    space = HilbertSpace(2)
+    n = 3 * scattering._CHUNK // scattering._SUBSTEPS + 1
+    grid = TimeGrid(0.0, 0.01 / ref.kappa, n)
+    drive = np.ones(2 * scattering._SUBSTEPS * (n - 1) + 1, dtype=complex)
+
+    def run(rows):
+        rho = np.repeat(DensityMatrix.ground(space).matrix[None], rows, axis=0)
+        scattering._evolve_master_batch(space, np.full(rows, ref.g_coupling), ref, grid, drive,
+                                        np.full(rows, 0.1, dtype=complex), rho, {})
+
+    chunk = (2 * scattering._CHUNK + 1) * (space.dim - 1) * 16
+    small, large = (_traced_peak(lambda: run(rows)) for rows in (20, 60))
+    assert large - small < 40 * 4.5 * chunk, ((large - small) / 40 / chunk)
+
+
+def test_filter_reaches_the_idealised_limit_as_the_pulse_lengthens(ref):
+    # the analytic backend gives the idealised limit (eps = eta = 0, the
+    # steady-state xi): F(20) = 0.24989 at the reference device.  The
+    # filter backend, the whole linear pipeline at |alpha|^2 = 400, nears
+    # it as the pulse grows long against the cavity response: gaps 0.238,
+    # 2.5e-3 and 2.1e-4 measured at tau kappa = 10, 160 and 320
+    ideal = sweep_photon_number(ref, [20.0], backend="analytic")[0].fidelity
+    assert ideal == pytest.approx(0.24989, abs=1e-5)
+    gaps = [abs(sweep_photon_number(ref, [20.0], backend="filter", tau=tk / ref.kappa)[0].fidelity - ideal)
+            for tk in (10, 160, 320)]
+    assert gaps[0] > gaps[1] > gaps[2] and gaps[2] <= 5e-4, gaps

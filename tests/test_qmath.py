@@ -56,6 +56,7 @@ def test_fock_tail_counts_top_levels():
     # populations 1, 2, 4, ... on the diagonal: the top two Fock levels of
     # both charge blocks (indices 3, 4, 8, 9) and nothing else
     space = HilbertSpace(5)
+    assert np.flatnonzero(space.fock_tail_levels()).tolist() == [3, 4, 8, 9]
     rho = DensityMatrix(space, np.diag(2.0 ** np.arange(space.dim)))
     assert rho.fock_tail() == 2.0**3 + 2.0**4 + 2.0**8 + 2.0**9
 

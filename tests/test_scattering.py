@@ -335,6 +335,42 @@ def test_bare_cavity_recurrence_follows_substeps(ref, ref_pulse, monkeypatch):
     assert np.abs(got - rk4_c).max() <= 1e-13 * np.abs(rk4_c).max()
 
 
+@pytest.mark.parametrize("backend", ["meanfield", "master"])
+def test_bare_rows_scale_one_unit_run(ref, ref_pulse, backend, monkeypatch):
+    # a dipole-free job's row is the unit run's, scaled: energy |alpha|^2
+    # E1, overlap (alpha/|alpha|) ov1, peak photon number |alpha|^2 times
+    # the unit peak.  Against the integrals (taken where _reflection
+    # receives them) and the decomposition of its own field
+    # alpha (f + sqrt(kappa) c_unit), from the amplitude floor to -20: the
+    # energy, epsilon and the phase agree to 1e-15 relative, the overlap
+    # and eta to 1e-15 (2.8e-16, 2.0e-16, 0, 1.1e-16 and 2.2e-16 measured).
+    # Detuned too, so that the phase is not pi.  Without fields a bare
+    # job carries no field and no trajectory
+    seen = []
+    real = scattering._reflection
+
+    def spy(f_in, energy, ov, *rest):
+        seen.append((energy, ov))
+        return real(f_in, energy, ov, *rest)
+
+    monkeypatch.setattr(scattering, "_reflection", spy)
+    alphas = [math.sqrt(MIN_ALPHA_SQUARED), 1e-3, 0.5, 1j, -20.0]
+    st = joint_state("11")
+    for p in (ref, dataclasses.replace(ref, detuning=0.3 * ref.kappa)):
+        seen.clear()
+        got = list(scattering._reflect_batch(ref_pulse, [(a, st, p) for a in alphas], backend, False))
+        c_unit = _bare_cavity_field(p, _upsample(ref_pulse.envelope), ref_pulse.grid)
+        want = [_decompose(ref_pulse, a * (ref_pulse.envelope + math.sqrt(p.kappa) * c_unit), a, st, p,
+                           backend, {}) for a in alphas]
+        peak = np.max(np.abs(c_unit) ** 2)
+        for a, r, w, (e, ov), (we, wov) in zip(alphas, got, want, seen, seen[len(alphas):]):
+            assert e == pytest.approx(we, rel=1e-15, abs=0) and abs(ov - wov) <= 1e-15, a
+            assert (r.epsilon, r.phase) == pytest.approx((w.epsilon, w.phase), rel=1e-15, abs=0), a
+            assert r.eta == pytest.approx(w.eta, rel=0, abs=1e-15), a
+            assert r.diagnostics["peak_photon"] == pytest.approx(abs(a) ** 2 * peak, rel=1e-15, abs=0), a
+            assert r.f_out is None and "c_trajectory" not in r.diagnostics, a
+
+
 def test_batch_elements_equal_single_runs(ref, ref_tau):
     # a quarter of the default samples keeps this cheap; both sides share it
     pulse = gaussian_pulse(ref_tau, default_grid(ref_tau, ref.kappa, n_samples=705))
