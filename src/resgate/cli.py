@@ -436,23 +436,28 @@ def cmd_regime(cfg: RunConfig, plot: bool) -> Output:
 
     gap = energy_gap(d.delta, d.tunneling)
     say(f"  charge gap/2pi = {gap / two_pi / 1e9:.6g} GHz")
-    if d.circuit is not None:
-        g_formula = coupling_g(d.circuit, mixing_angle(d.delta, d.tunneling))
-        ratio = _named("coupling from circuit geometry", lambda: d.g_coupling / g_formula)
-        say(f"  resonator fundamental/2pi = {w0 / two_pi / 1e9:.6g} GHz")
-        say(
-            f"  coupling from circuit geometry/2pi = {g_formula / two_pi / 1e6:.6g} MHz "
-            f"(configured {d.g_coupling / two_pi / 1e6:.6g} MHz, "
-            f"ratio {ratio:.3g})"
-        )
-    else:
+    if d.circuit is None:
         say("  coupling from circuit geometry: skipped (no [circuit] section)")
+    else:
+        say(f"  resonator fundamental/2pi = {w0 / two_pi / 1e9:.6g} GHz")
+        if d.tunneling == 0:
+            say("  coupling from circuit geometry: skipped (tunneling is 0: no charge dipole)")
+        else:
+            g_formula = coupling_g(d.circuit, mixing_angle(d.delta, d.tunneling))
+            ratio = _named("coupling from circuit geometry", lambda: d.g_coupling / g_formula)
+            say(
+                f"  coupling from circuit geometry/2pi = {g_formula / two_pi / 1e6:.6g} MHz "
+                f"(configured {d.g_coupling / two_pi / 1e6:.6g} MHz, "
+                f"ratio {ratio:.3g})"
+            )
 
-    if d.tb > 0:
+    if d.tb == 0:
+        say("  charge dephasing estimate: skipped (tb_ns not set)")
+    elif gap == 0:
+        say("  charge dephasing estimate: skipped (zero charge gap)")
+    else:
         t2 = charge_dephasing_estimate(gap, d.tb)
         say(f"  charge dephasing estimate T2 = {t2 * 1e9:.4g} ns (switching time {d.tb * 1e9:.3g} ns)")
-    else:
-        say("  charge dephasing estimate: skipped (tb_ns not set)")
     if d.zeeman is not None and cfg.gradient_field:
         t2s = _named("spin dephasing estimate", spin_dephasing_estimate,
                      d.zeeman.g_factor, cfg.gradient_field)

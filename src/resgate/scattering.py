@@ -275,31 +275,15 @@ def _upsample(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _zero_after_pulse(drive: np.ndarray, envelope: np.ndarray) -> None:
-    """Write exact zeros into `drive`, the upsampled `envelope`, from the pulse's end on.
-
-    The pulse ends where its envelope first stays below 2^-53 of its peak.
-    Past that point the interpolant holds only the ringing of the periodic
-    FFT (the envelope's two ends differ), about 1.2e-11 of peak on the
-    default grid and finer ones.  master relaxes its rows in closed form
-    over a trailing run of exact zeros (see _free_decay), so it takes this
-    drive; meanfield and _bare_cavity_field read the interpolant before it
-    is zeroed.
-    """
-    mag = np.abs(envelope)
-    end = np.flatnonzero(mag >= 2.0**-53 * mag.max())[-1] + 1
-    drive[2 * _SUBSTEPS * end :] = 0.0
-
-
-def _rk4(bind, y, drive, forcing, grid, on_sample, samples=None):
+def _rk4(bind, y, drive, forcing, grid, on_sample):
     """Classical fixed-step RK4 of a batch of states; the one time stepper.
 
     Takes _SUBSTEPS steps of size h = grid.dt / _SUBSTEPS per grid
-    interval, up to grid point samples - 1 (the grid's end by default).
-    `drive` is the forcing upsampled by _upsample, so drive[2j],
+    interval.  `drive` is the forcing upsampled by _upsample, so drive[2j],
     drive[2j+1] and drive[2j+2] are its values at the start, middle and
-    end of step j.  `on_sample(k, y)` sees the state at grid point
-    k = 0..samples-1.
+    end of step j.  _rk4 steps to the last grid point e that both the grid
+    and `drive` reach, and returns (the state there, e); `on_sample(k, y)`
+    sees the state at grid point k = 0..e.
 
     Buffers: _rk4 owns them all and reuses them on every step: the state
     (a copy of the caller's `y`, which is not modified), the four slopes
@@ -338,7 +322,8 @@ def _rk4(bind, y, drive, forcing, grid, on_sample, samples=None):
     two = np.full_like(scratch, 2)
     add, mul = np.add, np.multiply
     on_sample(0, y)
-    for j in range(_SUBSTEPS * ((samples or grid.n_samples) - 1)):
+    end = min(grid.n_samples - 1, (len(drive) - 1) // (2 * _SUBSTEPS))
+    for j in range(_SUBSTEPS * end):
         i = 2 * (j % _CHUNK)
         if i == 0:
             rows = None         # the last chunk is let go before the next is built
@@ -357,7 +342,7 @@ def _rk4(bind, y, drive, forcing, grid, on_sample, samples=None):
         add(y, mul(sixth_h, stage, stage), y)
         if (j + 1) % _SUBSTEPS == 0:
             on_sample((j + 1) // _SUBSTEPS, y)
-    return y
+    return y, end
 
 
 def _shared_params(jobs) -> DeviceParams:
@@ -380,12 +365,19 @@ def _meanfield_rows(
     grid, jobs, drive, envelope, record
 ) -> list[tuple[np.ndarray | None, dict, tuple[float, complex]]]:
     """(<c> trajectory, diagnostics, integrals) of each (alpha, state, params)
-    job, integrated by reflect_meanfield's equations as one RK4 batch on
-    `drive`, the upsampled `envelope`.  Every job is integrated, a
-    dipole-free one too; _reflect_batch validates the jobs.  The integrals
-    are _reflection's (energy, overlap) of g = alpha f + sqrt(kappa) <c>:
-    trapezoid sums of |g|^2 and conj(f) g taken as the batch steps.  The
-    trajectory is None unless `record`.
+    job: the factorized cavity/charge dynamics driven by alpha f(t),
+
+    d<c>/dt     = -(i D' + kappa/2)<c> - i g_eff <s> - sqrt(kappa) alpha f
+    d<s>/dt     = -<s>/(2 T1) + i g_eff <z> <c>
+    d<z>/dt     = -(<z> + 1)/T1 - 2 i g_eff (<c> conj<s> - conj<c> <s>)
+
+    from (<c>, <s>, <z>) = (0, 0, -1), with D' the negative of the stored
+    detuning (frame convention, see module docstring), integrated as one
+    RK4 batch on `drive`, the upsampled `envelope` f.  Every job is
+    integrated, a dipole-free one too; _reflect_batch validates the jobs.
+    The integrals are _reflection's (energy, overlap) of the output field
+    g = alpha f + sqrt(kappa) <c>: trapezoid sums of |g|^2 and conj(f) g
+    taken as the batch steps.  The trajectory is None unless `record`.
     """
     p = _shared_params(jobs)
     n = grid.n_samples
@@ -514,15 +506,8 @@ def _meanfield_rows(
 def reflect_meanfield(
     f_in: Pulse, alpha: complex, state: JointState, params: DeviceParams
 ) -> ReflectionResult:
-    """Factorized cavity/charge dynamics driven by alpha f_in(t).
-
-    d<c>/dt     = -(i D' + kappa/2)<c> - i g_eff <s> - sqrt(kappa) alpha f
-    d<s>/dt     = -<s>/(2 T1) + i g_eff <z> <c>
-    d<z>/dt     = -(<z> + 1)/T1 - 2 i g_eff (<c> conj<s> - conj<c> <s>)
-
-    from (<c>, <s>, <z>) = (0, 0, -1), with D' the negative of the stored
-    detuning (frame convention, see module docstring).  Output field
-    alpha f + sqrt(kappa) <c>.  Fixed-step RK4 at a quarter of the grid
+    """Factorized cavity/charge dynamics driven by alpha f_in(t), by the
+    equations of _meanfield_rows.  Fixed-step RK4 at a quarter of the grid
     step.  With g_eff = 0 only the <c> equation is left, and it is linear:
     that job takes _bare_cavity_field, the same RK4 step in closed form.
     The tests hold it to the spectral filter (better than 1e-8 RMS) and
@@ -546,9 +531,9 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
     with D' = -detuning, plus Lindblad decay kappa for the cavity and 1/T1
     for the charge.  Each rho[k] must be Hermitian: the rhs forms rho H^d as
     (H rho)^d, which holds only for Hermitian rho, and keeps rho exactly
-    Hermitian.  From the first grid point past the last nonzero value of
-    `drive` on, the rows relax in closed form (_free_decay) instead of by
-    RK4: the same step, rounded differently.
+    Hermitian.  RK4 steps the rows as far as `drive` reaches (see _rk4);
+    from that grid point to the grid's end they relax undriven in closed
+    form (_free_decay): the same step, rounded differently.
     A trace drift above 1e-6, or a NaN one, raises NumericsError.
     Returns the records {name: (B, n_samples)} of tr(rho op) for each of
     `ops`, the final states and the trace drift of each element.
@@ -612,8 +597,12 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
 
     def forcing(dr):
         last_row[0] = None      # a row of the last chunk would keep its arrays
-        u = sk * ((dr[:, None] * scale)[:, :, None] * c_sup)
-        return zip(eff_sup + np.conj(u), eff_sub - u)
+        lower = (dr[:, None] * scale)[:, :, None] * c_sup
+        np.multiply(sk, lower, out=lower)       # u = sqrt(kappa) b c_sup, then eff_sub - u
+        upper = np.conjugate(lower)             # conj(u), then eff_sup + conj(u)
+        np.add(eff_sup, upper, out=upper)
+        np.subtract(eff_sub, lower, out=lower)
+        return zip(upper, lower)
 
     n = grid.n_samples
     records = {name: np.empty((b_size, n), dtype=complex) for name in ops}
@@ -626,11 +615,7 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
             records[name][:, k] = (r * opt).sum(axis=(1, 2))
         np.maximum(drift, np.abs(np.trace(r, axis1=1, axis2=2) - 1.0), out=drift)
 
-    # RK4 runs to the first grid point past the drive's last nonzero value;
-    # from there the rows relax in closed form
-    driven = np.flatnonzero(drive[: 2 * _SUBSTEPS * (n - 1) + 1])
-    end = min(n - 1, driven[-1] // (2 * _SUBSTEPS) + 1) if driven.size else 0
-    rho = _rk4(bind, rho, drive, forcing, grid, on_sample, end + 1)
+    rho, end = _rk4(bind, rho, drive, forcing, grid, on_sample)
     if end < n - 1:
         weights = [*op_t.values(), np.eye(d)]
         # one set of sector maps per coupling: a sweep's rows share two (00 and 01)
@@ -708,7 +693,12 @@ def _master_rows(f_in, jobs, drive, fock_dim: int) -> list[tuple[np.ndarray, dic
     job, from the density matrix propagated as one RK4 batch on `drive`, the
     upsampled envelope of f_in; _reflect_batch validates the jobs.  fock_tail
     is the peak population of HilbertSpace.fock_tail_levels, as the cavity is
-    empty again by the end; the integrals are _field_integrals of g_out."""
+    empty again by the end; the integrals are _field_integrals of g_out.  The
+    batch takes the drive up to the pulse's end, the first sample from which
+    the envelope stays below 2^-53 of its peak: past it the interpolant holds
+    only the periodic FFT's ringing (1.2e-11 of peak on the default grid)."""
+    mag = np.abs(f_in.envelope)
+    end = np.flatnonzero(mag >= 2.0**-53 * mag.max())[-1] + 1
     space = HilbertSpace(fock_dim)
     C = space.cavity_op()
     records, rho, drift = _evolve_master_batch(
@@ -716,7 +706,7 @@ def _master_rows(f_in, jobs, drive, fock_dim: int) -> list[tuple[np.ndarray, dic
         np.array([st.g_eff(q.g_coupling) for _, st, q in jobs]),
         _shared_params(jobs),
         f_in.grid,
-        drive,
+        drive[: 2 * _SUBSTEPS * end + 1],
         np.array([a for a, _, _ in jobs], dtype=complex),
         np.repeat(DensityMatrix.ground(space).matrix[None], len(jobs), axis=0),
         {"c": C, "n": C.conj().T @ C, "tail": np.diag(space.fock_tail_levels().astype(complex))},
@@ -782,8 +772,8 @@ def _reflect_batch(f_in: Pulse, jobs, backend: str, fields: bool,
     linear cavity, whose field is alpha times that of _bare_unit_row, run
     once: its energy and peak photon number scale by |alpha|^2 and its
     overlap by alpha/|alpha|.  The other jobs are integrated as one batch
-    on the upsampled drive, which master then zeroes in place from the
-    pulse's end on (_zero_after_pulse) to relax its rows in closed form.
+    on the upsampled drive; master steps it only while the pulse lasts and
+    relaxes its rows in closed form from there (see _master_rows).
 
     The checks (the amplitude rule, the shared device, trace drift) and
     the integration run at the call; master's Fock truncation is judged
@@ -813,7 +803,6 @@ def _reflect_batch(f_in: Pulse, jobs, backend: str, fields: bool,
         elif backend == "meanfield":
             rows = _meanfield_rows(f_in.grid, coupled, drive, f_in.envelope, fields)
         else:
-            _zero_after_pulse(drive, f_in.envelope)
             rows = _master_rows(f_in, coupled, drive, fock_dim)
     return _decomposed(f_in, jobs, backend, bare, iter(rows), unit, fields)
 

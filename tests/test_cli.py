@@ -598,6 +598,35 @@ def test_regime_report(capsys):
     assert "T2* = 4" in out
 
 
+_NO_DIPOLE = "  coupling from circuit geometry: skipped (tunneling is 0: no charge dipole)"
+_NO_GAP = "  check resonance_match    fail     zero charge gap"
+
+
+@pytest.mark.parametrize("delta, circuit, lines", [
+    # balanced dots: no charge gap, so no mixing angle and no dephasing
+    # estimate (this exited 3 on "mixing angle undefined", and without
+    # [circuit] on "positive omega and tb required")
+    ("0", True, [_NO_GAP, _NO_DIPOLE, "  charge dephasing estimate: skipped (zero charge gap)"]),
+    ("0", False, ["  coupling from circuit geometry: skipped (no [circuit] section)",
+                  "  charge dephasing estimate: skipped (zero charge gap)"]),
+    # biased dots: a gap but no dipole, so a geometric coupling of 0 (this
+    # exited 3 on "float division by zero")
+    ("100", True, [_NO_DIPOLE, "  charge dephasing estimate T2 = 0.6283 ns (switching time 1 ns)"]),
+])
+def test_regime_report_of_a_device_without_tunneling(tmp_path, capsys, delta, circuit, lines):
+    text = DEFAULT_CFG.read_text().replace("tunneling_over_2pi_MHz = 5000", "tunneling_over_2pi_MHz = 0")
+    text = text.replace("delta_over_2pi_MHz = 0", f"delta_over_2pi_MHz = {delta}")
+    if not circuit:
+        text = text[: text.index("\n[circuit]\n")] + text[text.index("\n[zeeman]\n") :]
+    cfg = tmp_path / "untunneled.cfg"
+    cfg.write_text(text)
+    assert main(["regime", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    report = captured.out.splitlines()
+    assert captured.err == "" and len(report) == 14 + circuit
+    assert all(line in report for line in lines), report
+
+
 def test_svg_chart_deterministic():
     a = line_chart([0, 1, 2], [1.0, 0.5, 0.25], title="t")
     b = line_chart([0, 1, 2], [1.0, 0.5, 0.25], title="t")

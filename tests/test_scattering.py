@@ -470,7 +470,9 @@ def test_rk4_partial_chunk_keeps_y0_and_each_record(ref, ref_tau):
     # the stepper on y' = lam y - b scale against the plain loop, over
     # 700 samples: 2,796 steps, so the last forcing chunk is partial.
     # The caller's y0 stays as it was, and every grid point's record is
-    # the reference loop's
+    # the reference loop's.  A drive that stops at grid point 500 (2,000
+    # steps, mid-chunk) is stepped to there: records 0..500, the same
+    # bits, and the state at 500 returned
     grid = default_grid(ref_tau, ref.kappa, n_samples=700)
     assert 4 * (grid.n_samples - 1) % _CHUNK != 0
     drive = _upsample(gaussian_pulse(ref_tau, grid).envelope)
@@ -486,14 +488,22 @@ def test_rk4_partial_chunk_keeps_y0_and_each_record(ref, ref_tau):
         return rhs
 
     got, want = [], []
-    y_end = _rk4(bind, y0, drive, lambda d: d[:, None] * scale, grid,
-                 lambda k, y: got.append((k, y.copy())))
+    y_end, end = _rk4(bind, y0, drive, lambda d: d[:, None] * scale, grid,
+                      lambda k, y: got.append((k, y.copy())))
     rk4_reference(lambda y, b: lam * y - b * scale, y0, drive, grid,
                   lambda k, y: want.append((k, y.copy())))
     assert y0.tobytes() == before.tobytes()
     assert [k for k, _ in got] == [k for k, _ in want] == list(range(grid.n_samples))
     assert all(g.tobytes() == w.tobytes() for (_, g), (_, w) in zip(got, want))
-    assert y_end.tobytes() == got[-1][1].tobytes()
+    assert y_end.tobytes() == got[-1][1].tobytes() and end == grid.n_samples - 1
+
+    short = []
+    y_end, end = _rk4(bind, y0, drive[: 8 * 500 + 1], lambda d: d[:, None] * scale, grid,
+                      lambda k, y: short.append((k, y.copy())))
+    assert end == 500 and 4 * end % _CHUNK != 0
+    assert [k for k, _ in short] == list(range(end + 1))
+    assert all(g.tobytes() == w.tobytes() for (_, g), (_, w) in zip(short, want))
+    assert y_end.tobytes() == want[end][1].tobytes()
 
 
 def test_batch_rejects_mixed_devices(ref, ref_pulse):
@@ -607,19 +617,21 @@ def test_master_batch_rows_match_dense_lindblad(ref, fock_dim, n):
         rho0.append(m / np.trace(m).real)
     c = space.cavity_op()
     drive = _upsample(np.array([beta(t) for t in grid.times()]))
-    # the same drive ending in exact zeros over its last third: from the
-    # first grid point past its last nonzero value the rows relax in closed
-    # form, a matrix power per coherence sector.  The oracle reads these
-    # same drive values at its stage times (drive[i] sits at t_start + i h/2)
-    # and steps RK4 to the end.  The random rho0 reach every sector.
+    # the same drive cut at grid point `end`, two thirds of the way, and
+    # zero from there on (its last value too, where the oracle's next step
+    # starts): from `end` the rows relax in closed form, a matrix power per
+    # coherence sector.  The oracle reads the zeroed drive at its stage
+    # times (drive[i] sits at t_start + i h/2) and steps RK4 to the end.
+    # The random rho0 reach every sector.
+    end = 2 * n // 3
     ended = drive.copy()
-    ended[2 * len(drive) // 3 :] = 0.0
+    ended[8 * end :] = 0.0
     half_h = grid.dt / 8
 
     def ended_beta(t):
         return ended[round((t - grid.t_start) / half_h)]
 
-    for drv, b in ((drive, beta), (ended, ended_beta)):
+    for drv, b in ((drive, beta), (ended[: 8 * end + 1], ended_beta)):
         records, rho, drift = _evolve_master_batch(space, g_eff, p, grid, drv, scale, np.array(rho0), {"c": c})
         assert drift.max() < 1e-12
         for k in range(3):
@@ -637,13 +649,13 @@ def test_master_batch_rows_match_dense_lindblad(ref, fock_dim, n):
 
 @pytest.mark.parametrize("alpha", [0.5, 5.0])
 def test_master_ring_down_matches_full_rk4(ref, ref_tau, alpha):
-    # a reflection hands master its drive with exact zeros from the pulse's
-    # end on, and the rows relax in closed form from there; master_run steps
-    # the raw interpolant, whose tail is the FFT's ringing, through RK4 to
-    # the end.  Dropping the ringing and rounding the closed form moves c
-    # by less than 1e-12 of peak, and epsilon, eta and the phase by less
-    # than 1e-12.  A quarter of the default samples keeps this cheap: the
-    # pulse ends at the same 40 % of the grid, and rings as much past it
+    # a reflection hands master its drive only up to the pulse's end, and
+    # the rows relax undriven in closed form from there; master_run hands
+    # it the whole interpolant, whose tail is the FFT's ringing, and steps
+    # RK4 to the end.  Dropping the ringing and rounding the closed form
+    # moves c by less than 1e-12 of peak, and epsilon, eta and the phase by
+    # less than 1e-12.  A quarter of the default samples keeps this cheap:
+    # the pulse ends at the same 40 % of the grid, and rings as much past it
     pulse = gaussian_pulse(ref_tau, default_grid(ref_tau, ref.kappa, n_samples=705))
     assert _upsample(pulse.envelope)[-1] != 0
     jobs = [(alpha, joint_state(lab), ref) for lab in ("00", "01")]
@@ -655,6 +667,23 @@ def test_master_ring_down_matches_full_rk4(ref, ref_tau, alpha):
         assert np.abs(r.diagnostics["c_trajectory"] - want).max() <= 1e-12 * np.abs(want).max(), st.label
         full = _decompose(pulse, a * pulse.envelope + math.sqrt(p.kappa) * want, a, st, p, "master", {})
         assert (r.epsilon, r.eta, r.phase) == pytest.approx((full.epsilon, full.eta, full.phase), rel=0, abs=1e-12)
+
+
+def test_master_reflection_writes_nothing_into_the_drive(ref, ref_tau, monkeypatch):
+    # state 11's unit run and the coupled batch share one upsampled drive;
+    # master reads it only, so a read-only drive gives the same results
+    pulse = gaussian_pulse(ref_tau, default_grid(ref_tau, ref.kappa, n_samples=705))
+    jobs = [(0.5, joint_state(lab), ref) for lab in ("00", "11")]
+    want = [(r.epsilon, r.eta, r.phase) for r in scattering._reflect_batch(pulse, jobs, "master", False, 4)]
+
+    def read_only(values):
+        out = _upsample(values)
+        out.flags.writeable = False
+        return out
+
+    monkeypatch.setattr(scattering, "_upsample", read_only)
+    got = [(r.epsilon, r.eta, r.phase) for r in scattering._reflect_batch(pulse, jobs, "master", False, 4)]
+    assert got == want
 
 
 def test_evolve_master_leaves_rho0_and_keeps_each_record(ref):
