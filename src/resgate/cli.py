@@ -58,13 +58,15 @@ _TWO_PI_MHZ = 2.0 * math.pi * 1e6      # f/2pi in MHz to rad/s
 MAX_GRID_SAMPLES = 100_000
 MAX_SWEEP_POINTS = 1_000
 MAX_LEVELS_POINTS = 100_000
-# One master batch element peaks at about 1,700 fock_dim^2 bytes: the RK4
-# state, slopes, stage pair, generators and jump weights, each a complex
-# (2 fock_dim)^2 array, and in the undriven tail the (4 fock_dim - 2)^2
-# sector blocks with their temporaries (scattering._free_decay).  A batch
-# shares about 1,000 fock_dim^2 bytes more (tracemalloc peaks at fock_dim
-# 64): about 110 MiB per element at this cap.  fock_dim = 5000 would ask
-# for 43 GB per element.
+# One master batch element peaks at about 1,350 fock_dim^2 bytes while RK4
+# steps: the state, slopes, stage pair, generators and jump weights, each a
+# complex (2 fock_dim)^2 array, and its rows of a forcing chunk.  The
+# undriven tail peaks lower, at about 1,050: the (4 fock_dim - 2)^2 maps of
+# the sectors it reads, and a matrix power's temporaries
+# (scattering._free_decay).  A batch shares up to about 1,900 fock_dim^2
+# bytes more (tracemalloc peaks at fock_dim 64, batches of 1 and 4): at
+# most about 85 MiB per element at this cap.  fock_dim = 5000 would ask for
+# 34 GB per element.
 MAX_FOCK_DIM = 256
 
 FIDELITY_COLUMNS = (
@@ -276,13 +278,31 @@ def load_config(path: str | Path) -> RunConfig:
 # a command's files as (path, text), CSVs first; its stdout lines; one stderr warning or None
 Output = tuple[list[tuple[Path, str]], list[str], str | None]
 
+# rows of an array that _csv formats at a time
+_CSV_BLOCK = 256
+
 
 def _csv(path: Path, header, rows) -> tuple[Path, str]:
     """(path, text) of one CSV: the header line, then one line per row with
     its numbers at 12 significant digits.  `rows` is a 2-D array of numbers
     or a sequence of rows of one column layout, which may hold strings.  A
-    non-finite number raises NumericsError."""
-    rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
+    non-finite number raises NumericsError, naming the first row that holds one.
+
+    An array is rendered _CSV_BLOCK rows at a time, each block one format
+    call on its flat list of floats, so the scratch beside the text is one
+    block's: no list of rows, floats or lines spans the file."""
+    if isinstance(rows, np.ndarray):
+        line = ",".join(["{:.12g}"] * rows.shape[1]) + "\n"
+        blocks = [",".join(header) + "\n"]
+        for start in range(0, len(rows), _CSV_BLOCK):
+            block = rows[start : start + _CSV_BLOCK]
+            text = (line * len(block)).format(*block.ravel().tolist())
+            if "n" in text:     # in the text of a number only nan and inf hold an n
+                bad = next(row for row in text.splitlines() if "n" in row)
+                raise NumericsError(f"{path.name} would hold a non-finite value: {bad}")
+            blocks.append(text)
+        return path, "".join(blocks)
+    rows = list(rows)
     words = [isinstance(v, str) for v in rows[0]] if rows else []
     line = ",".join("{}" if word else "{:.12g}" for word in words).format
     lines = [line(*row) for row in rows]

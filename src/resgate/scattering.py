@@ -67,6 +67,9 @@ _SUBSTEPS = 4
 # RK4 steps whose drive forcing _rk4 asks for in one call (see _rk4).
 _CHUNK = 64
 
+# Grid points whose tr(rho op) master books in one call (see _evolve_master_batch).
+_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class JointState:
@@ -536,7 +539,10 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
     form (_free_decay): the same step, rounded differently.
     A trace drift above 1e-6, or a NaN one, raises NumericsError.
     Returns the records {name: (B, n_samples)} of tr(rho op) for each of
-    `ops`, the final states and the trace drift of each element.
+    `ops`, the final states, and the maxima over the grid of each element,
+    kept as it steps: {"peak_photon": of Re tr(rho c^d c), "fock_tail": of
+    the population of HilbertSpace.fock_tail_levels, "trace_drift": of
+    |tr rho - 1|}.
     """
     kappa = params.kappa
     sk = math.sqrt(kappa)
@@ -606,35 +612,52 @@ def _evolve_master_batch(space, g_eff, params, grid, drive, scale, rho, ops):
 
     n = grid.n_samples
     records = {name: np.empty((b_size, n), dtype=complex) for name in ops}
-    # tr(rho op) = sum of rho * op^T, elementwise
-    op_t = {name: np.ascontiguousarray(op.T) for name, op in ops.items()}
+    # tr(rho op) = sum of rho * op^T, elementwise: the ops, then <n> and the
+    # Fock tail, whose maxima the diagnostics keep
+    tail_op = np.diag(space.fock_tail_levels().astype(complex))
+    op_t = [np.ascontiguousarray(op.T) for op in (*ops.values(), n_c, tail_op)]
+    peaks = np.full((2, b_size), -np.inf)       # of <n> and of the Fock tail
     drift = np.zeros(b_size)
 
+    def book(k, values):
+        # values[w, :, t]: tr(rho w) at grid point k + t, for w in op_t and then the identity
+        for rec, v in zip(records.values(), values):
+            rec[:, k : k + values.shape[2]] = v
+        np.maximum(peaks, values[-3:-1].real.max(axis=2), out=peaks)
+        np.maximum(drift, np.abs(values[-1] - 1.0).max(axis=1), out=drift)
+
+    block = np.empty((len(op_t) + 1, b_size, _BLOCK), dtype=complex)
+
     def on_sample(k, r):
-        for name, opt in op_t.items():
-            records[name][:, k] = (r * opt).sum(axis=(1, 2))
-        np.maximum(drift, np.abs(np.trace(r, axis1=1, axis2=2) - 1.0), out=drift)
+        t = k % _BLOCK
+        for opt, v in zip(op_t, block):
+            v[:, t] = (r * opt).sum(axis=(1, 2))
+        block[-1, :, t] = np.trace(r, axis1=1, axis2=2)
+        if t == _BLOCK - 1:
+            book(k - t, block)
 
     rho, end = _rk4(bind, rho, drive, forcing, grid, on_sample)
+    last = end % _BLOCK         # on_sample books a full block; book the rest
+    if last != _BLOCK - 1:
+        book(end - last, block[..., : last + 1])
     if end < n - 1:
-        weights = [*op_t.values(), np.eye(d)]
-        # one set of sector maps per coupling: a sweep's rows share two (00 and 01)
-        _, first, which = np.unique(g_eff, return_index=True, return_inverse=True)
-        tail, rho = _free_decay(space, gen_eff[first], which, params, grid.dt / _SUBSTEPS, rho,
-                                weights, n - 1 - end)
-        for name, rec in zip(records, tail[:, :, :-1].T):
-            records[name][:, end + 1 :] = rec
-        np.maximum(drift, np.abs(tail[:, :, -1] - 1.0).max(axis=0), out=drift)
+        # one set of sector maps per coupling, in first-seen order: a sweep's rows share two (00 and 01)
+        slot = {}
+        which = [slot.setdefault(g, len(slot)) for g in g_eff.tolist()]
+        first = [which.index(u) for u in range(len(slot))]
+        rho = _free_decay(space, gen_eff[first], which, params, grid.dt / _SUBSTEPS, rho,
+                          [*op_t, np.eye(d)], n - 1 - end, lambda t, values: book(end + 1 + t, values))
     # `not <=` so that a NaN drift fails as well
     if not np.all(drift <= 1e-6):
         raise NumericsError(f"master-equation trace drifted by {drift.max():.3e}")
-    return records, rho, drift
+    return records, rho, {"peak_photon": peaks[0], "fock_tail": peaks[1], "trace_drift": drift}
 
 
-def _free_decay(space, gen, which, params, h, rho, weights, intervals):
+def _free_decay(space, gen, which, params, h, rho, weights, intervals, on_values):
     """The batch rho relaxed with no drive over `intervals` grid intervals,
-    in closed form: (tr(rho w) for each of `weights` after each interval,
-    shaped (intervals, B, len(weights)), and the final states).
+    in closed form; returns the final states.  It hands the values of the
+    intervals _BLOCK at a time: on_values(t, values), values[w, :, s] the
+    tr(rho weights[w]) of each row after interval t + s.
 
     gen[u] = -i H_eff of coupling u, and row k of rho has coupling
     which[k]: the maps below are built once per coupling and indexed per
@@ -645,9 +668,9 @@ def _free_decay(space, gen, which, params, h, rho, weights, intervals):
     N = c^d c + s+ s-, and both jumps lower N on both sides of rho, so L
     keeps each coherence order m = N(row) - N(col) to itself (B. Buca and
     T. Prosen, New J. Phys. 14, 073007 (2012)); a block L_m is at most
-    4 fock_dim - 2 square.  One sector at a time: a sector that `weights`
-    read is stepped interval by interval, any other is brought to the end
-    by one matrix power.
+    4 fock_dim - 2 square.  A sector that `weights` read is stepped
+    interval by interval, and an interval's values sum the read sectors
+    in order; any other sector is brought to the end by one matrix power.
     """
     nf, d = space.fock_dim, space.dim
     exc = np.arange(d) % nf + np.arange(d) // nf
@@ -665,21 +688,33 @@ def _free_decay(space, gen, which, params, h, rho, weights, intervals):
         poly = reduce(lambda p, q: one + step @ p / q, (4, 3, 2, 1), one)     # P(hL) by Horner
         return np.linalg.matrix_power(poly, _SUBSTEPS)
 
-    out = np.zeros((intervals, len(rho), len(weights), 1), dtype=complex)
     final = np.empty_like(rho)
+    read = []       # (entries, weights) of each sector that `weights` read, in order
     for sector in range(-nf, nf + 1):
         i, j = np.nonzero(order == sector)
-        m, v = interval(i, j), rho[:, i, j, None]
         w = np.array([wt[i, j] for wt in weights])
         if w.any():
-            m = m[which]
-            for t in range(intervals):
-                v = m @ v
-                out[t] += w @ v
+            read.append(((i, j), w))
         else:
-            v = np.linalg.matrix_power(m, intervals)[which] @ v
+            v = np.linalg.matrix_power(interval(i, j), intervals)[which] @ rho[:, i, j, None]
+            final[:, i, j] = v[..., 0]
+    # the read sectors' maps are held together, so they are built after the powers
+    maps = [interval(i, j)[which] for (i, j), _ in read]
+    states = [rho[:, i, j, None] for (i, j), _ in read]
+    out = np.empty((_BLOCK, len(rho), len(weights), 1), dtype=complex)
+    for start in range(0, intervals, _BLOCK):
+        values = out[: intervals - start]
+        values.fill(0)
+        for s, (m, (_, w)) in enumerate(zip(maps, read)):
+            v = states[s]
+            for total in values:
+                v = m @ v
+                total += w @ v
+            states[s] = v
+        on_values(start, values[..., 0].transpose(2, 1, 0))
+    for ((i, j), _), v in zip(read, states):
         final[:, i, j] = v[..., 0]
-    return out[..., 0], final
+    return final
 
 
 def _master_diagnostics(peak_photon, trace_drift, fock_tail, min_eigenvalue) -> dict:
@@ -700,8 +735,7 @@ def _master_rows(f_in, jobs, drive, fock_dim: int) -> list[tuple[np.ndarray, dic
     mag = np.abs(f_in.envelope)
     end = np.flatnonzero(mag >= 2.0**-53 * mag.max())[-1] + 1
     space = HilbertSpace(fock_dim)
-    C = space.cavity_op()
-    records, rho, drift = _evolve_master_batch(
+    records, rho, maxima = _evolve_master_batch(
         space,
         np.array([st.g_eff(q.g_coupling) for _, st, q in jobs]),
         _shared_params(jobs),
@@ -709,13 +743,13 @@ def _master_rows(f_in, jobs, drive, fock_dim: int) -> list[tuple[np.ndarray, dic
         drive[: 2 * _SUBSTEPS * end + 1],
         np.array([a for a, _, _ in jobs], dtype=complex),
         np.repeat(DensityMatrix.ground(space).matrix[None], len(jobs), axis=0),
-        {"c": C, "n": C.conj().T @ C, "tail": np.diag(space.fock_tail_levels().astype(complex))},
+        {"c": space.cavity_op()},
     )
-    n_peak, tail_peak = (records[name].real.max(axis=1).tolist() for name in ("n", "tail"))
+    peaks = (maxima[name].tolist() for name in ("peak_photon", "trace_drift", "fock_tail"))
     return [
         (c, _master_diagnostics(n, d, tail, DensityMatrix(space, r).min_eigenvalue()),
          _field_integrals(f_in, a * f_in.envelope + math.sqrt(q.kappa) * c, "master"))
-        for (a, _, q), c, n, d, tail, r in zip(jobs, records["c"], n_peak, drift.tolist(), tail_peak, rho)
+        for (a, _, q), c, n, d, tail, r in zip(jobs, records["c"], *peaks, rho)
     ]
 
 

@@ -195,11 +195,12 @@ def master_run(space, g_eff, params, grid, beta, rho0, ops=None):
     the grid, upsampled as the reflection upsamples its envelope, at scale
     1, recording <c> and each of `ops`.  No input checks: rho0 must be
     Hermitian (see _evolve_master_batch)."""
-    records, rho, drift = _evolve_master_batch(
+    records, rho, maxima = _evolve_master_batch(
         space, np.array([g_eff]), params, grid, _upsample(np.asarray(beta, dtype=complex)),
         np.ones(1), rho0.matrix[None], {"c": space.cavity_op(), **(ops or {})},
     )
-    return {name: rec[0] for name, rec in records.items()}, DensityMatrix(space, rho[0]), float(drift[0])
+    return ({name: rec[0] for name, rec in records.items()}, DensityMatrix(space, rho[0]),
+            float(maxima["trace_drift"][0]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from resgate.cli import (
     MAX_GRID_SAMPLES,
     MAX_LEVELS_POINTS,
     MAX_SWEEP_POINTS,
+    _CSV_BLOCK,
     RunConfig,
     _csv,
     load_config,
@@ -310,6 +312,9 @@ def test_csv_writer_formats_as_cell_by_cell(tmp_path):
     header = ["a", "b", "c", "d", "e"]
     path = tmp_path / "rows.csv"
     assert _csv(path, header, values) == (path, _cell_by_cell(header, values))
+    # an array is formatted a block of rows at a time: two full blocks and a partial one
+    long = np.resize(values, (2 * _CSV_BLOCK + 3, 5))
+    assert _csv(path, header, long) == (path, _cell_by_cell(header, long))
 
     # a sequence of rows: integers and numpy scalars as cells
     rows = [[3, -7, 0, 12345678901234, np.float64(-0.0)],
@@ -337,6 +342,29 @@ def test_csv_writer_refuses_non_finite_values(tmp_path):
             with pytest.raises(NumericsError) as err:
                 _csv(path, ["a", "b", "c"][: len(rows[0])], rows)
             assert str(err.value) == f"rows.csv would hold a non-finite value: {line}"
+        # past the first block of an array, the first bad row is named, not a later one
+        rows = np.ones((3 * _CSV_BLOCK, 2))
+        rows[_CSV_BLOCK + 5] = [7.0, bad]
+        rows[_CSV_BLOCK + 6] = [bad, 8.0]
+        rows[2 * _CSV_BLOCK + 1] = [bad, 9.0]
+        with pytest.raises(NumericsError) as err:
+            _csv(path, ["a", "b"], rows)
+        assert str(err.value) == f"rows.csv would hold a non-finite value: 7,{text}"
+
+
+def test_csv_writer_scratch_stays_near_its_text():
+    # an array is rendered a block of rows at a time, so the traced peak is
+    # the text, the block texts it is joined from and one block's lists.  On
+    # 20,000 rows of 5 columns it is 2.0 times the text's length, where
+    # formatting every row before joining them peaked at 5.8 times
+    values = np.random.default_rng(3).normal(size=(20_000, 5))
+    tracemalloc.start()
+    try:
+        _, text = _csv(Path("rows.csv"), ["a", "b", "c", "d", "e"], values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text), peak / len(text)
 
 
 def test_a_late_check_writes_no_file(tmp_path, capsys, monkeypatch):

@@ -288,10 +288,12 @@ def test_master_holds_one_forcing_chunk(ref):
     # _rk4 lets a forcing chunk go before it builds the next, and master's
     # forcing drops the last row it copied, which would keep that chunk's
     # two (2 _CHUNK + 1, B, d - 1) arrays alive.  Over three chunks at Fock
-    # 2, the traced peak grows by 2.55 such arrays a row (the chunk being
-    # built: its two diagonals, the first written in place from u; and the
-    # rows' state), where holding the last chunk grew it by 5.7 and
-    # building the diagonals from u through a temporary by 3.71
+    # 2, the traced peak grows by 3.05 such arrays a row (the chunk being
+    # built: its two diagonals, the first written in place from u; the
+    # rows' state; and the _BLOCK grid points of tr(rho op) that master
+    # books at once, 0.5 of them here), where holding the last chunk grew it
+    # by 3.15 more and building the diagonals from u through a temporary by
+    # 1.16 more
     space = HilbertSpace(2)
     n = 3 * scattering._CHUNK // scattering._SUBSTEPS + 1
     grid = TimeGrid(0.0, 0.01 / ref.kappa, n)

@@ -632,8 +632,8 @@ def test_master_batch_rows_match_dense_lindblad(ref, fock_dim, n):
         return ended[round((t - grid.t_start) / half_h)]
 
     for drv, b in ((drive, beta), (ended[: 8 * end + 1], ended_beta)):
-        records, rho, drift = _evolve_master_batch(space, g_eff, p, grid, drv, scale, np.array(rho0), {"c": c})
-        assert drift.max() < 1e-12
+        records, rho, maxima = _evolve_master_batch(space, g_eff, p, grid, drv, scale, np.array(rho0), {"c": c})
+        assert maxima["trace_drift"].max() < 1e-12
         for k in range(3):
             want_c, want_rho = dense_lindblad_evolve(
                 fock_dim, g_eff[k], p.kappa, p.t1, p.detuning, lambda t: scale[k] * b(t),
@@ -645,6 +645,33 @@ def test_master_batch_rows_match_dense_lindblad(ref, fock_dim, n):
             np.testing.assert_allclose(
                 rho[k], want_rho, rtol=1e-12, atol=1e-12 * np.abs(want_rho).max()
             )
+
+
+def test_master_rows_sharing_a_coupling_equal_a_batch_of_one(ref, ref_tau):
+    # the closed-form tail builds one set of sector maps per distinct
+    # coupling and hands each row its own.  Couplings [sqrt(2) g, g,
+    # sqrt(2) g] repeat one and are not in sorted order: each row's records,
+    # maxima and final state must be those of the row run alone, bit for bit
+    pulse = gaussian_pulse(ref_tau, default_grid(ref_tau, ref.kappa, n_samples=141))
+    end = 60
+    drive = _upsample(pulse.envelope)[: 2 * scattering._SUBSTEPS * end + 1]
+    space = HilbertSpace(4)
+    c = space.cavity_op()
+    ops = {"c": c, "n": c.conj().T @ c}
+    g_eff = np.array([joint_state(lab).g_eff(ref.g_coupling) for lab in ("00", "01", "00")])
+    scale = np.array([0.5, 0.3j, -0.4 + 0.2j])
+    rho0 = np.repeat(DensityMatrix.ground(space).matrix[None], 3, axis=0)
+    records, rho, maxima = _evolve_master_batch(space, g_eff, ref, pulse.grid, drive, scale, rho0, ops)
+    assert maxima["fock_tail"].min() > 0
+    for k in range(3):
+        one = np.s_[k : k + 1]
+        rec1, rho1, max1 = _evolve_master_batch(space, g_eff[one], ref, pulse.grid, drive, scale[one],
+                                                rho0[one], ops)
+        for name in ops:
+            assert records[name][k].tobytes() == rec1[name][0].tobytes(), (k, name)
+        assert rho[k].tobytes() == rho1[0].tobytes(), k
+        for name, peak in maxima.items():
+            assert peak[k] == max1[name][0], (k, name)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 5.0])
