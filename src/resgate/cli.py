@@ -15,18 +15,21 @@ A command returns its files, rendered and checked, and its lines; `main`
 alone writes them, so every file is checked before the first is written and
 a failed check writes none.  The limit: an OS error while writing (say, a
 directory named reflect_01.csv in --out) exits 2 after the files before it.
+
+Loading a config and `regime` are Python float arithmetic: they load no
+numpy.  The commands that compute import numpy and the numeric modules
+(pulse, scattering, gate) themselves.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .device import (
     CircuitParams,
@@ -43,11 +46,8 @@ from .device import (
     validate_regime,
 )
 from .errors import ConfigError, NumericsError
-from .gate import (_check_coupling_fraction, _default_pulse, sweep_coupling_variation,
-                   sweep_photon_number)
-from .pulse import MIN_GRID_SAMPLES, default_grid
-from .scattering import (BACKENDS, DEFAULT_FOCK_DIM, STATE_LABELS, _check_amplitude,
-                         scatter_all_states, xi_effective)
+from .rules import (BACKENDS, DEFAULT_FOCK_DIM, MIN_GRID_SAMPLES, _check_amplitude,
+                    _check_coupling_fraction, grid_layout)
 from .svgplot import line_chart, save_chart
 
 _TWO_PI_MHZ = 2.0 * math.pi * 1e6      # f/2pi in MHz to rad/s
@@ -139,6 +139,21 @@ def _word(*words: str):
     return _within(str, words.__contains__, f"must be one of {', '.join(words)}")
 
 
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """np.linspace(start, stop, n).tolist(), bit for bit, in Python floats:
+    i * step + start with the last point stop, or (i / div) * delta + start
+    where the step underflows to 0, as numpy does."""
+    delta, div = stop - start, n - 1
+    if div == 0:
+        return [0 * delta + start]
+    step = delta / div
+    if step == 0:
+        values = [(i / div) * delta + start for i in range(div)]
+    else:
+        values = [i * step + start for i in range(div)]
+    return [*values, stop]
+
+
 def _points(text: str) -> list[float]:
     """Sweep points: 'start:stop:count' or a comma list."""
     ranged = ":" in text
@@ -157,7 +172,7 @@ def _points(text: str) -> list[float]:
         raise ValueError(f"must be 1 to {MAX_SWEEP_POINTS} points, not {count}")
     if ranged and not math.isfinite(values[1] - values[0]):
         raise ValueError("has a span stop - start that is not finite")
-    return [float(x) for x in np.linspace(*values, count)] if ranged else values
+    return _linspace(*values, count) if ranged else values
 
 
 def _times(factor: float):
@@ -250,9 +265,16 @@ def load_config(path: str | Path) -> RunConfig:
     device = _as_config("[device]", DeviceParams, **v["device"], **parts)
     run = v["run"]
     run["tau"] /= device.kappa
+    if not 0 < run["tau"] < math.inf:       # tau_over_kappa 1e-320 underflows to 0
+        raise ConfigError(f"[pulse] tau_over_kappa gives tau = tau_over_kappa / kappa = "
+                          f"{run['tau']:g} s, which must be positive and finite")
+    # levels sweeps delta over +-span * tunneling: np.linspace steps across twice that
+    if not math.isfinite(2 * run["levels_span"] * device.tunneling):
+        raise ConfigError(f"[levels] delta_max_over_T = {run['levels_span']:g}: the bias range, "
+                          f"2 * delta_max_over_T * tunneling, is not finite")
 
-    try:        # default_grid only does arithmetic; it allocates nothing
-        n_samples = run["samples"] or default_grid(run["tau"], device.kappa).n_samples
+    try:
+        n_samples = run["samples"] or grid_layout(run["tau"], device.kappa)[2]
     except OverflowError:
         n_samples = math.inf
     if n_samples > MAX_GRID_SAMPLES:
@@ -291,6 +313,8 @@ def _csv(path: Path, header, rows) -> tuple[Path, str]:
     An array is rendered _CSV_BLOCK rows at a time, each block one format
     call on its flat list of floats, so the scratch beside the text is one
     block's: no list of rows, floats or lines spans the file."""
+    import numpy as np
+
     if isinstance(rows, np.ndarray):
         line = ",".join(["{:.12g}"] * rows.shape[1]) + "\n"
         blocks = [",".join(header) + "\n"]
@@ -337,6 +361,8 @@ def _chart(path: Path, xs, ys, **labels) -> tuple[Path, str]:
 
 
 def cmd_levels(cfg: RunConfig, plot: bool) -> Output:
+    import numpy as np
+
     t = cfg.device.tunneling
     if t == 0:
         raise ConfigError("[device] tunneling_over_2pi_MHz must be nonzero for levels")
@@ -362,6 +388,11 @@ def _run_backend(cfg: RunConfig, fn, *args, **kwargs):
 
 
 def cmd_reflect(cfg: RunConfig, plot: bool) -> Output:
+    import numpy as np
+
+    from .gate import _default_pulse
+    from .scattering import STATE_LABELS, scatter_all_states, xi_effective
+
     alpha = cfg.sweep_alpha
     _as_config("[sweep] alpha:", _check_amplitude, alpha)
     f_in = _default_pulse(cfg.device, cfg.tau, cfg.samples)
@@ -413,6 +444,8 @@ def _fidelity_row(p) -> list[float]:
 
 
 def cmd_fidelity(cfg: RunConfig, plot: bool) -> Output:
+    from .gate import sweep_coupling_variation, sweep_photon_number
+
     if cfg.sweep_kind == "photon":
         sweep, args, x_label = sweep_photon_number, (), "mean photon number |alpha|^2"
     else:
@@ -514,17 +547,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _float_faults_raise(command: str):
+    """A context in which a numpy floating-point fault raises
+    FloatingPointError, an ArithmeticError, where it happens instead of
+    warning and carrying inf or NaN on.  regime computes in Python floats,
+    which numpy's fault state does not reach, so it loads no numpy."""
+    if command == "regime":
+        return contextlib.nullcontext()
+    import numpy as np
+
+    return np.errstate(over="raise", divide="raise", invalid="raise")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # a floating-point fault raises FloatingPointError, an ArithmeticError,
-        # where it happens instead of warning and carrying inf or NaN on
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            cfg = load_config(args.config)
-            if args.backend:
-                cfg.backend = args.backend
-            if args.out:
-                cfg.output_dir = Path(args.out)
+        cfg = load_config(args.config)
+        if args.backend:
+            cfg.backend = args.backend
+        if args.out:
+            cfg.output_dir = Path(args.out)
+        with _float_faults_raise(args.command):
             files, lines, warning = _DISPATCH[args.command](cfg, args.plot)
         if files:
             cfg.output_dir.mkdir(parents=True, exist_ok=True)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .qmath import ComplexMatrix
+if TYPE_CHECKING:       # qmath loads numpy, which only dqd_hamiltonian needs
+    from .qmath import ComplexMatrix
 
 # CODATA 2022 values as scipy.constants gives them; e and h are exact in the SI
 _E_CHARGE = 1.602176634e-19                 # C
@@ -109,6 +109,8 @@ def dqd_hamiltonian(delta: float, tunneling: float) -> ComplexMatrix:
     The excited (doubly occupied) state sits at -delta; tunneling couples
     the two configurations.
     """
+    import numpy as np
+
     return np.array([[0.0, tunneling], [tunneling, -delta]], dtype=complex)
 
 

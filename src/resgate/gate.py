@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 from .device import DeviceParams
 from .errors import NumericsError
 from .pulse import Pulse, default_grid, gaussian_pulse
-from .scattering import DEFAULT_FOCK_DIM, STATE_LABELS, ReflectionResult, scatter_all_states, scatter_batch
+from .rules import DEFAULT_FOCK_DIM, _check_coupling_fraction
+from .scattering import STATE_LABELS, ReflectionResult, scatter_all_states, scatter_batch
 
 
 @dataclass
@@ -145,12 +146,6 @@ def sweep_photon_number(
         _zero_point(f_in, params) if a == 0 else _point(abs(a) ** 2, a, next(runs))
         for a in alphas
     ]
-
-
-def _check_coupling_fraction(x: float) -> None:
-    """The coupling sweep's rule: g (1 + x) must stay positive, x in (-1, 1]."""
-    if not -1.0 < x <= 1.0:
-        raise ValueError(f"coupling fraction {x} outside (-1, 1]")
 
 
 def sweep_coupling_variation(

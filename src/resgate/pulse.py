@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rules import MIN_GRID_SAMPLES, grid_layout
 
 NORM_TOL = 1e-9
-MIN_GRID_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -41,23 +41,9 @@ class TimeGrid:
 
 
 def default_grid(tau: float, kappa: float, n_samples: int | None = None) -> TimeGrid:
-    """Grid covering [-tau/2, tau + 40/kappa].
-
-    dt resolves both the cavity response (20 samples per 1/kappa) and the
-    pulse shape (512 samples per tau) unless an explicit n_samples
-    overrides it.
-    """
-    if tau <= 0 or kappa <= 0:
-        raise ValueError("tau and kappa must be positive")
-    t_start = -tau / 2.0
-    t_end = tau + 40.0 / kappa
-    if n_samples is None:
-        dt_target = min(1.0 / (20.0 * kappa), tau / 512.0)
-        n_samples = int(math.ceil((t_end - t_start) / dt_target)) + 1
-    elif n_samples < MIN_GRID_SAMPLES:
-        raise ValueError(f"need at least {MIN_GRID_SAMPLES} samples")
-    dt = (t_end - t_start) / (n_samples - 1)
-    return TimeGrid(t_start=t_start, dt=dt, n_samples=n_samples)
+    """The grid of rules.grid_layout: [-tau/2, tau + 40/kappa], at 20 samples
+    per 1/kappa and 512 per tau unless n_samples is given."""
+    return TimeGrid(*grid_layout(tau, kappa, n_samples))
 
 
 @dataclass

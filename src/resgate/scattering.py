@@ -32,13 +32,9 @@ from .device import DeviceParams
 from .errors import NumericsError
 from .pulse import Pulse, Spectrum, inverse_spectrum, overlap, spectrum
 from .qmath import DensityMatrix, HilbertSpace
+from .rules import BACKENDS, DEFAULT_FOCK_DIM, LINEAR_BACKENDS, _check_amplitude
 
 PASSIVITY_SLACK = 1e-6
-
-# The backends, cheapest first; the linear ones scatter independently of
-# the amplitude.
-LINEAR_BACKENDS = ("analytic", "filter")
-BACKENDS = LINEAR_BACKENDS + ("meanfield", "master")
 
 # Largest peak charge excitation p = (1 + max<sigma_z>)/2 at which the
 # meanfield backend counts as valid.  The factorisation <c sigma> ->
@@ -55,9 +51,6 @@ MEANFIELD_EXCITATION_BOUND = 0.035
 # Largest population of the top two Fock levels, at its peak over the
 # run, at which the master backend counts its truncation as valid.
 FOCK_TAIL_BOUND = 1e-4
-
-# Fock truncation of the master backend when the caller names none.
-DEFAULT_FOCK_DIM = 16
 
 # RK4 steps per grid interval, the one place the time step is set: _rk4
 # steps at grid.dt / _SUBSTEPS, _upsample puts the drive at the start,
@@ -164,24 +157,6 @@ def xi_effective(result: ReflectionResult) -> complex:
     long against the cavity response.
     """
     return (1.0 - result.epsilon) * result.alpha_out / result.alpha_in
-
-
-# Smallest |alpha|^2 a reflection accepts.  _decompose sums |alpha|^2 w_k,
-# w_k = |f_k|^2 dt: f is normalised, so the w_k are dimensionless and sum to
-# 1 on any grid.  On n samples the terms that can move the sum have w_k >=
-# 2^-53/n (1.1e-21 at the CLI's 100,000), so from this floor they, and each
-# |alpha f_k|^2 for dt up to 1 s, stay above 1e-301, clear of the subnormals
-# (< 2.2e-308) that move filter's eps and eta by 5e-3 and 7e-2 at 1e-318.
-MIN_ALPHA_SQUARED = 1e-280
-
-
-def _check_amplitude(alpha: complex) -> None:
-    """The amplitude rule of every reflection: _decompose divides by |alpha|^2
-    and takes the phase relative to alpha, so |alpha|^2 must be finite and at
-    least MIN_ALPHA_SQUARED.  Float products round it to inf at 1e300, where ** raises."""
-    a = complex(alpha)
-    if not MIN_ALPHA_SQUARED <= a.real * a.real + a.imag * a.imag < math.inf:
-        raise ValueError(f"|alpha|^2 must be finite and nonzero (>= {MIN_ALPHA_SQUARED:g}), alpha = {alpha}")
 
 
 def _field_integrals(f_in: Pulse, g_out: np.ndarray, backend: str) -> tuple[float, complex]:

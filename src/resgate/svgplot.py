@@ -1,4 +1,5 @@
-"""Tiny SVG line charts for sweep output, with no dependency beyond numpy.
+"""Tiny SVG line charts for sweep output, with no dependency beyond numpy,
+which only line_chart loads.
 
 Deterministic text output: same data in, byte-identical file out.
 """
@@ -6,8 +7,6 @@ Deterministic text output: same data in, byte-identical file out.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import NumericsError
 
@@ -46,6 +45,8 @@ def line_chart(
 ) -> str:
     """Render one series as an SVG document string.  A coordinate that is
     not finite (the scaled data range overflows) raises NumericsError."""
+    import numpy as np
+
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if len(xs) != len(ys) or not len(xs):
         raise ValueError("xs and ys must be equal-length and non-empty")

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as strat
 
 from resgate.cli import (
     CONFIG_TABLE,
@@ -21,6 +23,7 @@ from resgate.cli import (
     _CSV_BLOCK,
     RunConfig,
     _csv,
+    _points,
     load_config,
     main,
 )
@@ -33,6 +36,7 @@ from resgate.svgplot import _ticks, line_chart
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CFG = ROOT / "configs" / "default.cfg"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _read_csv(path):
@@ -191,6 +195,10 @@ _MESSAGES = {
     "fockdim = 4": "[run] unknown key 'fockdim'",
     "[extra]\nx = 1\n\n[levels]": "unknown section [extra]",
     "delta_max_over_T = 3e295": "levels.svg: a chart coordinate is not finite",
+    "delta_max_over_T = 1e300": "[levels] delta_max_over_T = 1e+300: the bias range, ",
+    "tunneling_over_2pi_MHz = 1e300": "[levels] delta_max_over_T = 50: the bias range, ",
+    "delta_max_over_T = 3e297": "[levels] delta_max_over_T = 3e+297: the bias range, ",
+    "tau_over_kappa = 1e-320": "[pulse] tau_over_kappa gives tau = tau_over_kappa / kappa = 0 s",
 }
 
 
@@ -216,9 +224,16 @@ _MESSAGES = {
     # a T1 that overflows to inf (s = inf used to pass the regime checks)
     ("reflect", "relaxation_rate_over_2pi_MHz = 1", "relaxation_rate_over_2pi_MHz = 1e-320", 2),
     ("regime", "relaxation_rate_over_2pi_MHz = 1", "relaxation_rate_over_2pi_MHz = 1e-320", 2),
-    # a bias range that overflows: NaN rows used to be written with exit 0
-    ("levels", "tunneling_over_2pi_MHz = 5000", "tunneling_over_2pi_MHz = 1e300", 3),
-    ("levels", "delta_max_over_T = 50", "delta_max_over_T = 1e300", 3),
+    # a bias range that overflows: NaN rows used to be written with exit 0,
+    # and then it exited 3 naming no key
+    ("levels", "tunneling_over_2pi_MHz = 5000", "tunneling_over_2pi_MHz = 1e300", 2),
+    ("levels", "delta_max_over_T = 50", "delta_max_over_T = 1e300", 2),
+    # span * tunneling is finite here, but not the width linspace steps across
+    ("levels", "delta_max_over_T = 50", "delta_max_over_T = 3e297", 2),
+    # a tau that underflows to 0: reflect used to exit 3, and regime (on
+    # this explicit grid) to report a gate time of 0 ns
+    ("regime", "tau_over_kappa = 10", "tau_over_kappa = 1e-320", 2),
+    ("reflect", "tau_over_kappa = 10", "tau_over_kappa = 1e-320", 2),
     # a bias range whose chart scaling overflows, though every CSV value is
     # finite: levels.svg used to be written with inf coordinates and exit 0
     ("levels --plot", "delta_max_over_T = 50", "delta_max_over_T = 3e295", 3),
@@ -370,7 +385,8 @@ def test_csv_writer_scratch_stays_near_its_text():
 def test_a_late_check_writes_no_file(tmp_path, capsys, monkeypatch):
     # the summary is checked after the four trace CSVs are rendered; a
     # non-finite value there used to leave reflect_00.csv to reflect_11.csv
-    monkeypatch.setattr("resgate.cli.xi_effective", lambda r: complex(math.nan, 0))
+    # cmd_reflect imports xi_effective from scattering when it runs
+    monkeypatch.setattr("resgate.scattering.xi_effective", lambda r: complex(math.nan, 0))
     out = tmp_path / "out"
     args = ["reflect", "--backend", "analytic", "--config", str(DEFAULT_CFG), "--out", str(out)]
     assert main(args) == 3
@@ -559,6 +575,66 @@ def test_cli_imports_no_scipy():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.stdout.strip() == "[]"
+
+
+def _modules_after(code: str) -> set[str]:
+    """numpy and the resgate modules that a fresh interpreter holds after running `code`."""
+    probe = code + "\nimport sys; print(*(m for m in sys.modules if m == 'numpy' or m.startswith('resgate')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_config_and_regime_load_no_numpy():
+    # load_config and regime are Python float arithmetic
+    numeric = {"numpy", "resgate.scattering", "resgate.gate", "resgate.pulse"}
+    for code in (
+        f"from resgate.cli import load_config; load_config({str(DEFAULT_CFG)!r})",
+        f"from resgate.cli import main; assert main(['regime', '--config', {str(DEFAULT_CFG)!r}]) == 0",
+    ):
+        loaded = _modules_after(code)
+        assert "resgate.cli" in loaded and not loaded & numeric, (code, loaded)
+
+
+def test_cli_and_the_kernels_load_every_traced_module():
+    # the benchmark's tracer wraps functions in sys.modules after importing
+    # resgate.cli, gate and scattering (svgplot comes with cli alone)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    loaded = _modules_after("import resgate.cli; from resgate import gate, scattering")
+    assert {module for module, _ in tracing.TARGETS} <= loaded
+
+
+# On a failure hypothesis imports libcst to suggest a patch, and libcst warns
+# on import; under the suite's warnings-as-errors that would end the session
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(
+    start=strat.floats(allow_nan=False, allow_infinity=False),
+    stop=strat.floats(allow_nan=False, allow_infinity=False),
+    n=strat.integers(1, MAX_SWEEP_POINTS),
+)
+@example(start=3.5, stop=-2.0, n=1)                 # one point
+@example(start=-0.0, stop=-0.0, n=1)                # 0 * delta + start is +0.0
+@example(start=1.5, stop=1.5, n=4)                  # start == stop
+@example(start=2.0, stop=-3.0, n=5)                 # a negative span
+@example(start=0.0, stop=5e-324, n=3)               # steps that underflow to 0
+@example(start=-5e-324, stop=1e-323, n=7)
+@example(start=0.1, stop=0.7, n=MAX_SWEEP_POINTS)
+@example(start=-1e308, stop=7e307, n=MAX_SWEEP_POINTS)
+@example(start=0.0, stop=1.7976931348623157e308, n=28)     # numpy's 27 * step overflows
+def test_ranged_points_equal_numpy_linspace(start, stop, n):
+    # every x_value of fidelity.csv is one of these points: they must be
+    # np.linspace's, bit for bit (the sign of a zero too)
+    assume(math.isfinite(stop - start))
+    got = _points(f"{start!r}:{stop!r}:{n}")
+    with np.errstate(over="ignore"):    # numpy's last point may overflow before stop replaces it
+        want = np.linspace(start, stop, n).tolist()
+    assert all(type(x) is float for x in got)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_numerics_exit_code(tmp_path, capsys):

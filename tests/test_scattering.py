@@ -15,11 +15,11 @@ from resgate.errors import NumericsError
 from resgate.gate import GateInputs, gate_fidelity
 from resgate.pulse import TimeGrid, default_grid, gaussian_pulse
 from resgate.qmath import DensityMatrix, HilbertSpace
+from resgate.rules import MIN_ALPHA_SQUARED
 from resgate.scattering import (
     _CHUNK,
     FOCK_TAIL_BOUND,
     MEANFIELD_EXCITATION_BOUND,
-    MIN_ALPHA_SQUARED,
     STATE_LABELS,
     _analytic_result,
     _bare_cavity_field,

@@ -79,19 +79,32 @@ def test_traced_cli_signatures():
         assert first.name == "path" and first.kind is first.POSITIONAL_OR_KEYWORD, fn.__name__
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_imports(scope) -> set[str]:
+    """The names the imports of `scope` bind: its own statements, not those
+    of a function inside it."""
+    names, todo = set(), list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif not isinstance(node, _FUNCTIONS):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def test_modules_import_no_unused_name():
     # a module's imports are names it uses, in the package and its tests;
-    # __init__ imports to re-export.  A name counts as used where the module
-    # loads it (an annotation too)
+    # __init__ imports to re-export.  A name counts as used where the scope
+    # that imports it loads it (an annotation too): a module import anywhere
+    # in the module, a function's own import inside that function
     for path in sorted([*PACKAGE.glob("*.py"), *Path(__file__).resolve().parent.glob("*.py")]):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        imported = {
-            (alias.asname or alias.name).split(".")[0]
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
-            for alias in node.names
-        }
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
+        for scope in [tree, *(node for node in ast.walk(tree) if isinstance(node, _FUNCTIONS))]:
+            used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+            unused = _own_imports(scope) - used
+            assert not unused, f"{path.name} {getattr(scope, 'name', '')} imports unused {sorted(unused)}"
