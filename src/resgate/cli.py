@@ -300,7 +300,7 @@ def load_config(path: str | Path) -> RunConfig:
 # a command's files as (path, text), CSVs first; its stdout lines; one stderr warning or None
 Output = tuple[list[tuple[Path, str]], list[str], str | None]
 
-# rows of an array that _csv formats at a time
+# rows that _csv formats at a time
 _CSV_BLOCK = 256
 
 
@@ -310,34 +310,25 @@ def _csv(path: Path, header, rows) -> tuple[Path, str]:
     or a sequence of rows of one column layout, which may hold strings.  A
     non-finite number raises NumericsError, naming the first row that holds one.
 
-    An array is rendered _CSV_BLOCK rows at a time, each block one format
-    call on its flat list of floats, so the scratch beside the text is one
-    block's: no list of rows, floats or lines spans the file."""
+    Rows are rendered _CSV_BLOCK at a time, each block one format call on
+    its flat list of cells, so the scratch an array leaves beside the text
+    is one block's: no list of rows, floats or lines spans the file."""
     import numpy as np
 
-    if isinstance(rows, np.ndarray):
-        line = ",".join(["{:.12g}"] * rows.shape[1]) + "\n"
-        blocks = [",".join(header) + "\n"]
-        for start in range(0, len(rows), _CSV_BLOCK):
-            block = rows[start : start + _CSV_BLOCK]
-            text = (line * len(block)).format(*block.ravel().tolist())
-            if "n" in text:     # in the text of a number only nan and inf hold an n
-                bad = next(row for row in text.splitlines() if "n" in row)
-                raise NumericsError(f"{path.name} would hold a non-finite value: {bad}")
-            blocks.append(text)
-        return path, "".join(blocks)
-    rows = list(rows)
-    words = [isinstance(v, str) for v in rows[0]] if rows else []
-    line = ",".join("{}" if word else "{:.12g}" for word in words).format
-    lines = [line(*row) for row in rows]
-    if any(words):      # a word may hold an n ("meanfield"): test the numbers
-        bad = [text for text, row in zip(lines, rows)
-               if not all(math.isfinite(v) for v, word in zip(row, words) if not word)]
-    else:               # in the text of a number only nan and inf hold an n
-        bad = [text for text in lines if "n" in text]
-    if bad:
-        raise NumericsError(f"{path.name} would hold a non-finite value: {bad[0]}")
-    return path, "\n".join([",".join(header), *lines, ""])
+    if not isinstance(rows, np.ndarray):    # an object array keeps each cell as given
+        rows = np.array([list(row) for row in rows], dtype=object)
+    numbers = [not isinstance(v, str) for v in rows[:1].ravel()]
+    line = ",".join("{:.12g}" if number else "{}" for number in numbers) + "\n"
+    blocks = [",".join(header) + "\n"]
+    for start in range(0, len(rows), _CSV_BLOCK):
+        block = rows[start : start + _CSV_BLOCK]
+        text = (line * len(block)).format(*block.ravel().tolist())
+        finite = np.isfinite(block[:, numbers].astype(float)).all(axis=1)     # words are not read
+        if not finite.all():
+            bad = text.splitlines()[finite.argmin()]
+            raise NumericsError(f"{path.name} would hold a non-finite value: {bad}")
+        blocks.append(text)
+    return path, "".join(blocks)
 
 
 def _write_rows(path: Path, text: str) -> None:

@@ -1,10 +1,13 @@
 import configparser
+import contextlib
 import importlib.util
+import io
 import inspect
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -30,6 +33,7 @@ from resgate.cli import (
 from resgate.device import CircuitParams, DeviceParams, ZeemanParams
 from resgate.errors import ConfigError, NumericsError
 from resgate.gate import sweep_photon_number
+from resgate.rules import MIN_GRID_SAMPLES
 from resgate.scattering import BACKENDS
 from resgate.svgplot import _ticks, line_chart
 
@@ -270,15 +274,16 @@ def test_failures_exit_with_one_line(tmp_path, capsys, command, old, new, code):
     assert not out.exists()
 
 
-def _keys(path) -> set[tuple[str, str]]:
-    cp = configparser.ConfigParser()
+def _texts(path) -> dict[tuple[str, str], str]:
+    """(section, key) -> the text of its value, of every key of a config file."""
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     cp.read(path)
-    return {(section, key) for section in cp.sections() for key in cp[section]}
+    return {(section, key): cp[section][key] for section in cp.sections() for key in cp[section]}
 
 
 def test_default_config_lists_every_key_of_the_table():
-    assert _keys(DEFAULT_CFG) == set(CONFIG_TABLE)
+    assert set(_texts(DEFAULT_CFG)) == set(CONFIG_TABLE)
 
     # the field column: a row fills a parameter of its section's constructor,
     # or run.<name> of RunConfig, and no parameter is filled twice
@@ -341,12 +346,16 @@ def test_csv_writer_formats_as_cell_by_cell(tmp_path):
                ["11", -1.0, 2.5e-7, -4, np.float64(123.456789012345), "master"]]
     head = ["state", "xi", "re", "im", "eps", "backend"]
     assert _csv(path, head, summary) == (path, _cell_by_cell(head, summary))
+    # a sequence that holds words is formatted a block of rows at a time too
+    worded = [[f"{i % 4:02b}", *row, "meanfield"] for i, row in enumerate(long.tolist())]
+    head = ["state", *header, "backend"]
+    assert _csv(path, head, worded) == (path, _cell_by_cell(head, worded))
     assert not path.exists()
 
 
 def test_csv_writer_refuses_non_finite_values(tmp_path):
-    # a row of numbers and a row that holds words ("meanfield" holds an n)
-    # are checked in different ways; both give one message
+    # only numbers are checked, so a word never trips the check
+    # ("meanfield" holds an n); an array and a sequence give one message
     path = tmp_path / "rows.csv"
     for bad, text in ((float("nan"), "nan"), (float("inf"), "inf"), (-np.inf, "-inf")):
         for rows, line in (
@@ -365,6 +374,14 @@ def test_csv_writer_refuses_non_finite_values(tmp_path):
         with pytest.raises(NumericsError) as err:
             _csv(path, ["a", "b"], rows)
         assert str(err.value) == f"rows.csv would hold a non-finite value: 7,{text}"
+        # and past the first block of a sequence that holds words
+        worded = [["00", 1.0, "meanfield"] for _ in range(2 * _CSV_BLOCK + 3)]
+        worded[_CSV_BLOCK + 5] = ["10", bad, "meanfield"]
+        worded[_CSV_BLOCK + 6] = ["11", bad, "master"]
+        worded[2 * _CSV_BLOCK + 1] = ["01", bad, "master"]
+        with pytest.raises(NumericsError) as err:
+            _csv(path, ["state", "a", "backend"], worded)
+        assert str(err.value) == f"rows.csv would hold a non-finite value: 10,{text},meanfield"
 
 
 def test_csv_writer_scratch_stays_near_its_text():
@@ -635,6 +652,78 @@ def test_ranged_points_equal_numpy_linspace(start, stop, n):
         want = np.linspace(start, stop, n).tolist()
     assert all(type(x) is float for x in got)
     assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+# zero, numbers whose squares overflow and the smallest subnormal
+_EDGES = ("0", "1e300", "-1e300", "5e-324")
+
+
+# the grid and the levels sweep stay small, drawn in these ranges unless a key is changed
+_SMALL = {("pulse", "samples"): (MIN_GRID_SAMPLES, 64), ("levels", "points"): (3, 64)}
+
+
+def _value_text(section: str, key: str, default: str):
+    """Texts of one key changed from the default, in its domain and past its edges."""
+    if key == "samples":
+        return strat.sampled_from([str(MIN_GRID_SAMPLES - 1), str(MAX_GRID_SAMPLES + 1)])
+    if (section, key) == ("levels", "points"):
+        return strat.sampled_from(["2", str(MAX_LEVELS_POINTS + 1)])
+    if key == "fock_dim":
+        return strat.sampled_from(["1", "2", str(MAX_FOCK_DIM), str(MAX_FOCK_DIM + 1)])
+    if key == "kind":
+        return strat.sampled_from(["photon", "coupling"])
+    if key == "backend":
+        return strat.sampled_from(BACKENDS)
+    if key == "points":
+        ends = strat.one_of(strat.sampled_from(_EDGES), strat.floats(-1.5, 25).map(repr))
+        ranged = strat.tuples(ends, ends, strat.integers(1, 4)).map(lambda t: ":".join(map(str, t)))
+        return strat.one_of(ranged, strat.lists(ends, min_size=1, max_size=3).map(",".join))
+    # a number: near the default, any finite one, or an edge of the float range
+    return strat.one_of(strat.floats(0.5, 2).map(lambda f: repr(float(default) * f)),
+                        strat.sampled_from(_EDGES),
+                        strat.floats(allow_nan=False, allow_infinity=False).map(repr))
+
+
+# On a failure hypothesis imports libcst to suggest a patch, and libcst warns
+# on import; under the suite's warnings-as-errors that would end the session
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(data=strat.data())
+def test_any_config_exits_0_2_or_3_and_writes_only_finite_csvs(data):
+    # a config of the table's domains and their edges, with up to three keys
+    # off the default and an optional section left out: every command exits
+    # 0, 2 or 3; a failure prints one line and writes nothing, and a success
+    # writes no CSV cell that is not finite
+    texts = _texts(DEFAULT_CFG)        # every key of the table
+    changed = data.draw(strat.sets(strat.sampled_from(sorted(texts)), max_size=3), label="changed")
+    for key, (lo, hi) in _SMALL.items():
+        texts[key] = str(data.draw(strat.integers(lo, hi), label=" ".join(key)))
+    for key in sorted(changed):
+        texts[key] = data.draw(_value_text(*key, texts[key]), label=" ".join(key))
+    left_out = data.draw(strat.sets(strat.sampled_from(["circuit", "zeeman"])), label="left out")
+    plot = data.draw(strat.sampled_from([[], ["--plot"]]), label="plot")
+    sections: dict[str, list[str]] = {}
+    for (section, key), text in texts.items():
+        if section not in left_out:
+            sections.setdefault(section, []).append(f"{key} = {text}")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items()))
+        for command in ("levels", "regime", "reflect", "fidelity"):
+            out = Path(tmp) / command
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([command, "--config", str(cfg), "--backend", "filter", "--out", str(out), *plot])
+            err = stderr.getvalue()
+            assert code in (0, 2, 3), (command, code, err)
+            if code:
+                assert err.count("\n") == 1 and err.startswith(("config error: ", "numerical failure: ")), err
+                assert stdout.getvalue() == "" and not out.exists(), command
+                continue
+            assert err.count("\n") <= 1, err
+            for csv in out.glob("*.csv"):
+                cells = set(csv.read_text().replace("\n", ",").split(","))
+                assert not cells & {"nan", "inf", "-inf"}, (command, csv.name)
 
 
 def test_numerics_exit_code(tmp_path, capsys):

@@ -2,12 +2,16 @@
 wraps functions and methods by name, and `resgate.__all__` is the public
 import surface.  A rename or deletion must show up here, not as a
 benchmark run that traces nothing.  A deletion must also take its
-imports with it: no module imports a name it never uses."""
+imports and its helpers with it: no module imports a name it never uses or
+defines one nothing names.  The README's example runs as written."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
+import re
 from pathlib import Path
 
 import resgate
@@ -108,3 +112,53 @@ def test_modules_import_no_unused_name():
             used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
             unused = _own_imports(scope) - used
             assert not unused, f"{path.name} {getattr(scope, 'name', '')} imports unused {sorted(unused)}"
+
+
+def _references(path: Path) -> set[str]:
+    """The names a file refers to: loaded names, attributes, imported names,
+    and the words of its strings, docstrings aside (the benchmark's tracer
+    and the package's lazy exports name functions and modules in strings)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def test_modules_define_no_unused_name():
+    # every top-level function, class and constant of the package is named
+    # somewhere besides its definition: in the package, its tests or the
+    # benchmark.  A deletion must take the definitions only it used with it
+    root = PACKAGE.parent.parent
+    named = set().union(*(_references(path) for folder in (PACKAGE, root / "tests", root / "perfbench")
+                          for path in folder.glob("*.py")))
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            unused = [name for name in defined if name not in named and not name.startswith("__")]
+            assert not unused, f"{path.name} defines unused {unused}"
+
+
+def test_readme_python_api_example_prints_a_fidelity():
+    # the README's example runs as written and prints one fidelity in (0, 1]
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    code = readme.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert 0 < float(out.getvalue()) <= 1, out.getvalue()
