@@ -16,9 +16,9 @@ alone writes them, so every file is checked before the first is written and
 a failed check writes none.  The limit: an OS error while writing (say, a
 directory named reflect_01.csv in --out) exits 2 after the files before it.
 
-Loading a config and `regime` are Python float arithmetic: they load no
-numpy.  The commands that compute import numpy and the numeric modules
-(pulse, scattering, gate) themselves.
+Loading a config, `regime`, `levels`, CSV rendering and charts are Python
+float arithmetic: they load no numpy.  `reflect` and `fidelity` import numpy
+and the numeric modules (pulse, scattering, gate) themselves.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import contextlib
 import math
 import sys
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 from .device import (
@@ -36,8 +37,8 @@ from .device import (
     DeviceParams,
     ZeemanParams,
     charge_dephasing_estimate,
+    charge_levels,
     coupling_g,
-    dqd_hamiltonian,
     energy_gap,
     mixing_angle,
     resonator_fundamental,
@@ -268,7 +269,7 @@ def load_config(path: str | Path) -> RunConfig:
     if not 0 < run["tau"] < math.inf:       # tau_over_kappa 1e-320 underflows to 0
         raise ConfigError(f"[pulse] tau_over_kappa gives tau = tau_over_kappa / kappa = "
                           f"{run['tau']:g} s, which must be positive and finite")
-    # levels sweeps delta over +-span * tunneling: np.linspace steps across twice that
+    # levels sweeps delta over +-span * tunneling: _linspace steps across twice that
     if not math.isfinite(2 * run["levels_span"] * device.tunneling):
         raise ConfigError(f"[levels] delta_max_over_T = {run['levels_span']:g}: the bias range, "
                           f"2 * delta_max_over_T * tunneling, is not finite")
@@ -306,26 +307,23 @@ _CSV_BLOCK = 256
 
 def _csv(path: Path, header, rows) -> tuple[Path, str]:
     """(path, text) of one CSV: the header line, then one line per row with
-    its numbers at 12 significant digits.  `rows` is a 2-D array of numbers
-    or a sequence of rows of one column layout, which may hold strings.  A
-    non-finite number raises NumericsError, naming the first row that holds one.
+    its numbers at 12 significant digits.  `rows` is a 2-D array of numbers or
+    a list of rows of one column layout, which may hold strings.  A non-finite
+    number raises NumericsError, naming the first row that holds one.
 
     Rows are rendered _CSV_BLOCK at a time, each block one format call on
     its flat list of cells, so the scratch an array leaves beside the text
     is one block's: no list of rows, floats or lines spans the file."""
-    import numpy as np
-
-    if not isinstance(rows, np.ndarray):    # an object array keeps each cell as given
-        rows = np.array([list(row) for row in rows], dtype=object)
-    numbers = [not isinstance(v, str) for v in rows[:1].ravel()]
+    numbers = [not isinstance(v, str) for row in rows[:1] for v in row]
     line = ",".join("{:.12g}" if number else "{}" for number in numbers) + "\n"
     blocks = [",".join(header) + "\n"]
     for start in range(0, len(rows), _CSV_BLOCK):
         block = rows[start : start + _CSV_BLOCK]
-        text = (line * len(block)).format(*block.ravel().tolist())
-        finite = np.isfinite(block[:, numbers].astype(float)).all(axis=1)     # words are not read
-        if not finite.all():
-            bad = text.splitlines()[finite.argmin()]
+        cells = [v for row in block for v in row] if isinstance(block, list) else block.ravel().tolist()
+        text = (line * len(block)).format(*cells)
+        finite = list(map(math.isfinite, compress(cells, numbers * len(block))))     # words are not read
+        if not all(finite):
+            bad = text.splitlines()[finite.index(False) // sum(numbers)]
             raise NumericsError(f"{path.name} would hold a non-finite value: {bad}")
         blocks.append(text)
     return path, "".join(blocks)
@@ -352,25 +350,19 @@ def _chart(path: Path, xs, ys, **labels) -> tuple[Path, str]:
 
 
 def cmd_levels(cfg: RunConfig, plot: bool) -> Output:
-    import numpy as np
-
     t = cfg.device.tunneling
     if t == 0:
         raise ConfigError("[device] tunneling_over_2pi_MHz must be nonzero for levels")
-    deltas = np.linspace(-cfg.levels_span * t, cfg.levels_span * t, cfg.levels_points)
-    low, high = np.linalg.eigvalsh(np.array([dqd_hamiltonian(d, t) for d in deltas])).T
-    gap = high - low
-    columns = {
-        "delta_rad_per_s": deltas,
-        "energy_low_rad_per_s": low,
-        "energy_high_rad_per_s": high,
-        "gap_rad_per_s": gap,
-    }
+    deltas = _linspace(-cfg.levels_span * t, cfg.levels_span * t, cfg.levels_points)
+    levels = [charge_levels(d, t) for d in deltas]
+    rows = [(d, low, high, high - low) for d, (low, high) in zip(deltas, levels)]
+    gap = [row[3] for row in rows]
     charts = [_chart(cfg.output_dir / "levels.svg", deltas, gap, title="charge gap vs bias",
                      x_label="delta (rad/s)", y_label="gap (rad/s)")] if plot else []
     out = cfg.output_dir / "levels.csv"
-    return ([_csv(out, columns, np.column_stack(list(columns.values()))), *charts],
-            [f"wrote {out} ({len(deltas)} rows); min gap {gap.min():.12g} rad/s"], None)
+    header = ("delta_rad_per_s", "energy_low_rad_per_s", "energy_high_rad_per_s", "gap_rad_per_s")
+    return ([_csv(out, header, rows), *charts],
+            [f"wrote {out} ({len(rows)} rows); min gap {min(gap):.12g} rad/s"], None)
 
 
 def _run_backend(cfg: RunConfig, fn, *args, **kwargs):
@@ -386,22 +378,27 @@ def cmd_reflect(cfg: RunConfig, plot: bool) -> Output:
 
     alpha = cfg.sweep_alpha
     _as_config("[sweep] alpha:", _check_amplitude, alpha)
-    f_in = _default_pulse(cfg.device, cfg.tau, cfg.samples)
+    f_in = _named("pulse", _default_pulse, cfg.device, cfg.tau, cfg.samples)
     results = _run_backend(cfg, scatter_all_states, f_in, alpha, cfg.device)
 
     times = f_in.grid.times()
     g_in = alpha * f_in.envelope
-    g_outs = {label: abs(results[label].alpha_out) * results[label].f_out.envelope for label in STATE_LABELS}
-    charts = [_chart(cfg.output_dir / f"reflect_{label}.svg", times, np.abs(g_out) ** 2,
-                     title=f"reflected power, state {label}", x_label="t (s)", y_label="|g_out|^2")
-              for label, g_out in g_outs.items()] if plot else []
+
+    def reflected(label):      # a state's output field, made where it is used: one is held at a time
+        return abs(results[label].alpha_out) * results[label].f_out.envelope
+
+    charts = [_chart(cfg.output_dir / f"reflect_{label}.svg", times.tolist(),
+                     (np.abs(reflected(label)) ** 2).tolist(), title=f"reflected power, state {label}",
+                     x_label="t (s)", y_label="|g_out|^2") for label in STATE_LABELS] if plot else []
+    # the columns every state shares are stacked once; each state fills in out_re and out_im
+    trace = np.column_stack([times, g_in.real, g_in.imag, times, times])
     files, summary = [], []
-    for label, g_out in g_outs.items():
+    for label in STATE_LABELS:
         r = results[label]
-        trace = {"time_s": times, "in_re": g_in.real, "in_im": g_in.imag,
-                 "out_re": g_out.real, "out_im": g_out.imag}
-        files.append(_csv(cfg.output_dir / f"reflect_{label}.csv", trace,
-                          np.column_stack(list(trace.values()))))
+        g_out = reflected(label)
+        trace[:, 3], trace[:, 4] = g_out.real, g_out.imag
+        files.append(_csv(cfg.output_dir / f"reflect_{label}.csv",
+                          ("time_s", "in_re", "in_im", "out_re", "out_im"), trace))
         xi_eff = xi_effective(r)
         summary.append({
             "state": label,
@@ -416,7 +413,7 @@ def cmd_reflect(cfg: RunConfig, plot: bool) -> Output:
             "backend": r.backend,
         })
     out = cfg.output_dir / "reflect_summary.csv"
-    files.append(_csv(out, summary[0], (record.values() for record in summary)))
+    files.append(_csv(out, summary[0], [list(record.values()) for record in summary]))
     line = ("  state {state}: xi_eff = {xi_eff_re:+.6f}{xi_eff_im:+.6f}j"
             "  eps = {epsilon:.4g}  eta = {eta:.4g}  phase = {phase_rad:+.4f}").format
     lines = [f"wrote {out}", *(line(**record) for record in summary)]
@@ -435,8 +432,10 @@ def _fidelity_row(p) -> list[float]:
 
 
 def cmd_fidelity(cfg: RunConfig, plot: bool) -> Output:
-    from .gate import sweep_coupling_variation, sweep_photon_number
+    from .gate import _default_pulse, sweep_coupling_variation, sweep_photon_number
 
+    # the sweep builds this pulse again: built here first, a failure of it is named
+    _named("pulse", _default_pulse, cfg.device, cfg.tau, cfg.samples)
     if cfg.sweep_kind == "photon":
         sweep, args, x_label = sweep_photon_number, (), "mean photon number |alpha|^2"
     else:
@@ -451,7 +450,7 @@ def cmd_fidelity(cfg: RunConfig, plot: bool) -> Output:
     flagged = sum(p.unreliable for p in points)
     warning = (f"warning: {flagged} of {len(points)} points have a state outside the "
                f"validity range of the {cfg.backend} backend") if flagged else None
-    return ([_csv(out, FIDELITY_COLUMNS, map(_fidelity_row, points)), *charts],
+    return ([_csv(out, FIDELITY_COLUMNS, [_fidelity_row(p) for p in points]), *charts],
             [f"wrote {out} ({len(points)} rows)"], warning)
 
 
@@ -539,11 +538,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _float_faults_raise(command: str):
-    """A context in which a numpy floating-point fault raises
-    FloatingPointError, an ArithmeticError, where it happens instead of
-    warning and carrying inf or NaN on.  regime computes in Python floats,
-    which numpy's fault state does not reach, so it loads no numpy."""
-    if command == "regime":
+    """A context in which a numpy floating-point fault raises FloatingPointError,
+    an ArithmeticError, where it happens instead of warning and carrying inf or
+    NaN on: in reflect and fidelity, the commands that compute with numpy."""
+    if command not in ("reflect", "fidelity"):
         return contextlib.nullcontext()
     import numpy as np
 

@@ -119,6 +119,14 @@ def energy_gap(delta: float, tunneling: float) -> float:
     return math.hypot(delta, 2.0 * tunneling)
 
 
+def charge_levels(delta: float, tunneling: float) -> tuple[float, float]:
+    """(low, high) eigenvalues of dqd_hamiltonian(delta, tunneling > 0): the root of larger magnitude,
+    -delta/2 -/+ hypot(delta/2, T), and -(T/root) T, from their product -T^2 (T^2 itself can underflow)."""
+    half = delta / 2.0
+    root = -half - math.copysign(math.hypot(half, tunneling), delta)
+    return tuple(sorted((root, -(tunneling / root) * tunneling)))
+
+
 def mixing_angle(delta: float, tunneling: float) -> float:
     """Half the rotation diagonalizing the charge Hamiltonian.
 

@@ -5,6 +5,7 @@ import io
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -26,6 +27,7 @@ from resgate.cli import (
     _CSV_BLOCK,
     RunConfig,
     _csv,
+    _linspace,
     _points,
     load_config,
     main,
@@ -203,6 +205,10 @@ _MESSAGES = {
     "tunneling_over_2pi_MHz = 1e300": "[levels] delta_max_over_T = 50: the bias range, ",
     "delta_max_over_T = 3e297": "[levels] delta_max_over_T = 3e+297: the bias range, ",
     "tau_over_kappa = 1e-320": "[pulse] tau_over_kappa gives tau = tau_over_kappa / kappa = 0 s",
+    "kappa_over_2pi_MHz = 1e-300": "pulse: overflow encountered in square",
+    "tau_over_kappa = 1e200": "pulse: overflow encountered in square",
+    "tau_over_kappa = 1e-300": "pulse: divide by zero encountered in divide",
+    "tau_over_kappa = 1e153": "pulse: grid [",
 }
 
 
@@ -216,6 +222,14 @@ _MESSAGES = {
     # a pulse so long that its width squared overflows
     ("reflect", "kappa_over_2pi_MHz = 100", "kappa_over_2pi_MHz = 1e-300", 3),
     ("fidelity", "kappa_over_2pi_MHz = 100", "kappa_over_2pi_MHz = 1e-300", 3),
+    # pulses the grid cannot hold, named as the pulse's in both commands: they
+    # printed numpy's words alone in reflect and blamed "backend filter" in fidelity
+    ("reflect", "tau_over_kappa = 10", "tau_over_kappa = 1e200", 3),
+    ("fidelity", "tau_over_kappa = 10", "tau_over_kappa = 1e200", 3),
+    ("reflect", "tau_over_kappa = 10", "tau_over_kappa = 1e-300", 3),
+    ("fidelity", "tau_over_kappa = 10", "tau_over_kappa = 1e-300", 3),
+    ("reflect", "tau_over_kappa = 10", "tau_over_kappa = 1e153", 3),
+    ("fidelity", "tau_over_kappa = 10", "tau_over_kappa = 1e153", 3),
     # amplitudes whose |alpha|^2 is zero or past the largest float
     ("reflect", "alpha = 20", "alpha = 1e-320", 2),
     ("reflect", "alpha = 20", "alpha = 1e300", 2),
@@ -604,12 +618,14 @@ def _modules_after(code: str) -> set[str]:
     return set(proc.stdout.splitlines()[-1].split())
 
 
-def test_config_and_regime_load_no_numpy():
-    # load_config and regime are Python float arithmetic
+def test_config_and_regime_load_no_numpy(tmp_path):
+    # load_config, regime and levels (its CSV and chart too) are Python float arithmetic
     numeric = {"numpy", "resgate.scattering", "resgate.gate", "resgate.pulse"}
+    levels = ["levels", "--plot", "--config", str(DEFAULT_CFG), "--out", str(tmp_path)]
     for code in (
         f"from resgate.cli import load_config; load_config({str(DEFAULT_CFG)!r})",
         f"from resgate.cli import main; assert main(['regime', '--config', {str(DEFAULT_CFG)!r}]) == 0",
+        f"from resgate.cli import main; assert main({levels!r}) == 0",
     ):
         loaded = _modules_after(code)
         assert "resgate.cli" in loaded and not loaded & numeric, (code, loaded)
@@ -643,11 +659,14 @@ def test_cli_and_the_kernels_load_every_traced_module():
 @example(start=0.1, stop=0.7, n=MAX_SWEEP_POINTS)
 @example(start=-1e308, stop=7e307, n=MAX_SWEEP_POINTS)
 @example(start=0.0, stop=1.7976931348623157e308, n=28)     # numpy's 27 * step overflows
+# the levels sweep of the default config at its most points, past the sweep's cap
+@example(start=-1570796326794.8965, stop=1570796326794.8965, n=MAX_LEVELS_POINTS)
 def test_ranged_points_equal_numpy_linspace(start, stop, n):
-    # every x_value of fidelity.csv is one of these points: they must be
-    # np.linspace's, bit for bit (the sign of a zero too)
+    # every x_value of fidelity.csv and every bias of levels.csv is one of
+    # these points: they must be np.linspace's, bit for bit (the sign of a
+    # zero too).  levels takes up to MAX_LEVELS_POINTS from _linspace itself
     assume(math.isfinite(stop - start))
-    got = _points(f"{start!r}:{stop!r}:{n}")
+    got = _points(f"{start!r}:{stop!r}:{n}") if n <= MAX_SWEEP_POINTS else _linspace(start, stop, n)
     with np.errstate(over="ignore"):    # numpy's last point may overflow before stop replaces it
         want = np.linspace(start, stop, n).tolist()
     assert all(type(x) is float for x in got)
@@ -693,7 +712,7 @@ def test_any_config_exits_0_2_or_3_and_writes_only_finite_csvs(data):
     # a config of the table's domains and their edges, with up to three keys
     # off the default and an optional section left out: every command exits
     # 0, 2 or 3; a failure prints one line and writes nothing, and a success
-    # writes no CSV cell that is not finite
+    # writes no CSV cell and no SVG coordinate or label that is not finite
     texts = _texts(DEFAULT_CFG)        # every key of the table
     changed = data.draw(strat.sets(strat.sampled_from(sorted(texts)), max_size=3), label="changed")
     for key, (lo, hi) in _SMALL.items():
@@ -724,6 +743,9 @@ def test_any_config_exits_0_2_or_3_and_writes_only_finite_csvs(data):
             for csv in out.glob("*.csv"):
                 cells = set(csv.read_text().replace("\n", ",").split(","))
                 assert not cells & {"nan", "inf", "-inf"}, (command, csv.name)
+            for svg in out.glob("*.svg"):
+                tokens = set(re.split(r'[\s,"<>]+', svg.read_text()))
+                assert not tokens & {"nan", "inf", "-inf"}, (command, svg.name)
 
 
 def test_numerics_exit_code(tmp_path, capsys):

