@@ -52,9 +52,12 @@ MEANFIELD_EXCITATION_BOUND = 0.035
 # run, at which the master backend counts its truncation as valid.
 FOCK_TAIL_BOUND = 1e-4
 
-# RK4 steps per grid interval, the one place the time step is set: _rk4
-# steps at grid.dt / _SUBSTEPS, _upsample puts the drive at the start,
-# middle and end of each step, and _bare_cavity_field is the same step.
+# RK4 steps per grid interval while the pulse drives the cavity, the one
+# place the driven time step is set: _rk4 steps at grid.dt / _SUBSTEPS
+# unless told otherwise, _upsample puts the drive at the start, middle and
+# end of each step, and _bare_cavity_field and master's _free_decay are the
+# same step.  Past the pulse's end (_pulse_end) meanfield takes one step per
+# grid interval, as no drive is left to resolve (see _meanfield_rows).
 _SUBSTEPS = 4
 
 # RK4 steps whose drive forcing _rk4 asks for in one call (see _rk4).
@@ -253,15 +256,28 @@ def _upsample(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rk4(bind, y, drive, forcing, grid, on_sample):
+def _pulse_end(envelope) -> int:
+    """The pulse's end: the first sample from which the envelope stays below
+    2^-53 of its peak (n_samples if it never does).  Past it the upsampled
+    drive holds only the periodic FFT's ringing (1.2e-11 of peak on the
+    default grid), so _reflect_batch hands both RK4 kernels the drive up to
+    here and they take it as zero from here on."""
+    mag = np.abs(envelope)
+    return int(np.flatnonzero(mag >= 2.0**-53 * mag.max())[-1]) + 1
+
+
+def _rk4(bind, y, drive, forcing, grid, on_sample, start=0, steps=None):
     """Classical fixed-step RK4 of a batch of states; the one time stepper.
 
-    Takes _SUBSTEPS steps of size h = grid.dt / _SUBSTEPS per grid
-    interval.  `drive` is the forcing upsampled by _upsample, so drive[2j],
-    drive[2j+1] and drive[2j+2] are its values at the start, middle and
-    end of step j.  _rk4 steps to the last grid point e that both the grid
-    and `drive` reach, and returns (the state there, e); `on_sample(k, y)`
-    sees the state at grid point k = 0..e.
+    Takes `steps` steps of size h = grid.dt / steps per grid interval,
+    _SUBSTEPS (read at the call) unless given, from grid point `start`.
+    `drive` is the forcing upsampled to that step, as _upsample does for
+    _SUBSTEPS, so drive[2j], drive[2j+1] and drive[2j+2] are its values at
+    the start, middle and end of step j of the run.  _rk4 steps to the last
+    grid point e that both the grid and `drive` reach, and returns (the
+    state there, e).  `on_sample(k, y)` sees the state at each grid point k
+    the run reaches, start < k <= e, and the initial state at k = 0: a run
+    that starts later continues one that has booked its first point.
 
     Buffers: _rk4 owns them all and reuses them on every step: the state
     (a copy of the caller's `y`, which is not modified), the four slopes
@@ -287,7 +303,8 @@ def _rk4(bind, y, drive, forcing, grid, on_sample):
     convert a Python scalar on every multiply, at the cost of the multiply
     itself, to the same complex value.
     """
-    h = grid.dt / _SUBSTEPS
+    steps = _SUBSTEPS if steps is None else steps
+    h = grid.dt / steps
     y = np.array(y)
     slopes = np.empty((4, *y.shape), dtype=y.dtype)
     k1, k2, k3, k4 = slopes
@@ -299,9 +316,10 @@ def _rk4(bind, y, drive, forcing, grid, on_sample):
     half_h, full_h, sixth_h = (np.full_like(y, v) for v in (0.5 * h, h, h / 6.0))
     two = np.full_like(scratch, 2)
     add, mul = np.add, np.multiply
-    on_sample(0, y)
-    end = min(grid.n_samples - 1, (len(drive) - 1) // (2 * _SUBSTEPS))
-    for j in range(_SUBSTEPS * end):
+    if start == 0:
+        on_sample(0, y)
+    end = min(grid.n_samples - 1, start + (len(drive) - 1) // (2 * steps))
+    for j in range(steps * (end - start)):
         i = 2 * (j % _CHUNK)
         if i == 0:
             rows = None         # the last chunk is let go before the next is built
@@ -318,8 +336,8 @@ def _rk4(bind, y, drive, forcing, grid, on_sample):
         add(stage, twice_k3, stage)
         add(stage, k4, stage)
         add(y, mul(sixth_h, stage, stage), y)
-        if (j + 1) % _SUBSTEPS == 0:
-            on_sample((j + 1) // _SUBSTEPS, y)
+        if (j + 1) % steps == 0:
+            on_sample(start + (j + 1) // steps, y)
     return y, end
 
 
@@ -351,7 +369,12 @@ def _meanfield_rows(
 
     from (<c>, <s>, <z>) = (0, 0, -1), with D' the negative of the stored
     detuning (frame convention, see module docstring), integrated as one
-    RK4 batch on `drive`, the upsampled `envelope` f.  Every job is
+    RK4 batch on `drive`, the upsampled `envelope` f up to the pulse's end
+    (_pulse_end): _SUBSTEPS steps per grid interval as far as `drive`
+    reaches, then one step per interval on a zero drive to the grid's end.
+    The charge is still excited at the pulse's end, so the tail is
+    nonlinear and stepped, not taken in closed form as master's is; with
+    no drive left, its fastest rates are kappa/2 and g_eff.  Every job is
     integrated, a dipole-free one too; _reflect_batch validates the jobs.
     The integrals are _reflection's (energy, overlap) of the output field
     g = alpha f + sqrt(kappa) <c>: trapezoid sums of |g|^2 and conj(f) g
@@ -469,7 +492,9 @@ def _meanfield_rows(
 
     y0 = np.zeros((3, b_size), dtype=complex)
     y0[2] = -1.0
-    _rk4(bind, y0, drive, forcing, grid, on_sample)
+    y, end = _rk4(bind, y0, drive, forcing, grid, on_sample)
+    if end < n - 1:
+        _rk4(bind, y, np.zeros(2 * (n - 1 - end) + 1, dtype=complex), forcing, grid, on_sample, end, 1)
 
     rows = []
     for c, e, x, peak, s, z in zip(c_traj if record else [None] * b_size, energy_sum.tolist(),
@@ -486,11 +511,13 @@ def reflect_meanfield(
 ) -> ReflectionResult:
     """Factorized cavity/charge dynamics driven by alpha f_in(t), by the
     equations of _meanfield_rows.  Fixed-step RK4 at a quarter of the grid
-    step.  With g_eff = 0 only the <c> equation is left, and it is linear:
-    that job takes _bare_cavity_field, the same RK4 step in closed form.
-    The tests hold it to the spectral filter (better than 1e-8 RMS) and
-    to this RK4 rhs at g_eff = 0 (1e-13 of peak); the chain pins the signs
-    of detuning, decay and drive in the <c> equation.
+    step while the pulse lasts, at the grid step after it.  With g_eff = 0
+    only the <c> equation is left, and it is linear: that job takes
+    _bare_cavity_field, the quarter-step RK4 in closed form over the whole
+    grid.  The tests hold it to the spectral filter (better than 1e-8 RMS)
+    and to this RK4 rhs at g_eff = 0 (1e-13 of peak while the pulse lasts,
+    1e-12 after it); the chain pins the signs of detuning, decay and drive
+    in the <c> equation.
 
     Diagnostics report the peak charge excitation (1 + max<z>)/2, sampled
     on the grid, and flag the run `unreliable` when it exceeds
@@ -701,21 +728,18 @@ def _master_diagnostics(peak_photon, trace_drift, fock_tail, min_eigenvalue) -> 
 def _master_rows(f_in, jobs, drive, fock_dim: int) -> list[tuple[np.ndarray, dict, tuple[float, complex]]]:
     """(<c> trajectory, diagnostics, integrals) of each (alpha, state, params)
     job, from the density matrix propagated as one RK4 batch on `drive`, the
-    upsampled envelope of f_in; _reflect_batch validates the jobs.  fock_tail
-    is the peak population of HilbertSpace.fock_tail_levels, as the cavity is
-    empty again by the end; the integrals are _field_integrals of g_out.  The
-    batch takes the drive up to the pulse's end, the first sample from which
-    the envelope stays below 2^-53 of its peak: past it the interpolant holds
-    only the periodic FFT's ringing (1.2e-11 of peak on the default grid)."""
-    mag = np.abs(f_in.envelope)
-    end = np.flatnonzero(mag >= 2.0**-53 * mag.max())[-1] + 1
+    upsampled envelope of f_in up to the pulse's end (_pulse_end), and
+    relaxed in closed form from there (see _evolve_master_batch);
+    _reflect_batch validates the jobs.  fock_tail is the peak population of
+    HilbertSpace.fock_tail_levels, as the cavity is empty again by the end;
+    the integrals are _field_integrals of g_out."""
     space = HilbertSpace(fock_dim)
     records, rho, maxima = _evolve_master_batch(
         space,
         np.array([st.g_eff(q.g_coupling) for _, st, q in jobs]),
         _shared_params(jobs),
         f_in.grid,
-        drive[: 2 * _SUBSTEPS * end + 1],
+        drive,
         np.array([a for a, _, _ in jobs], dtype=complex),
         np.repeat(DensityMatrix.ground(space).matrix[None], len(jobs), axis=0),
         {"c": space.cavity_op()},
@@ -781,8 +805,10 @@ def _reflect_batch(f_in: Pulse, jobs, backend: str, fields: bool,
     linear cavity, whose field is alpha times that of _bare_unit_row, run
     once: its energy and peak photon number scale by |alpha|^2 and its
     overlap by alpha/|alpha|.  The other jobs are integrated as one batch
-    on the upsampled drive; master steps it only while the pulse lasts and
-    relaxes its rows in closed form from there (see _master_rows).
+    on the upsampled drive up to the pulse's end (_pulse_end), past which
+    the drive is zero: master relaxes its rows in closed form from there
+    (see _master_rows), and meanfield steps them once per grid interval
+    (see _meanfield_rows).
 
     The checks (the amplitude rule, the shared device, trace drift) and
     the integration run at the call; master's Fock truncation is judged
@@ -802,6 +828,7 @@ def _reflect_batch(f_in: Pulse, jobs, backend: str, fields: bool,
     coupled = [job for job, is_bare in zip(jobs, bare) if not is_bare]
     # ahead of the batch, so that its temporaries do not stack on the batch's record
     unit = _bare_unit_row(f_in, _shared_params(jobs), drive, backend) if any(bare) else None
+    driven = drive[: 2 * _SUBSTEPS * _pulse_end(f_in.envelope) + 1]
     # A step too coarse for the batch overflows to inf and NaN; that is
     # reported once, as a NumericsError from a finite check (of meanfield's
     # integrals in _reflection, of a trajectory in _field_integrals) or
@@ -810,9 +837,9 @@ def _reflect_batch(f_in: Pulse, jobs, backend: str, fields: bool,
         if not coupled:
             rows = []
         elif backend == "meanfield":
-            rows = _meanfield_rows(f_in.grid, coupled, drive, f_in.envelope, fields)
+            rows = _meanfield_rows(f_in.grid, coupled, driven, f_in.envelope, fields)
         else:
-            rows = _master_rows(f_in, coupled, drive, fock_dim)
+            rows = _master_rows(f_in, coupled, driven, fock_dim)
     return _decomposed(f_in, jobs, backend, bare, iter(rows), unit, fields)
 
 

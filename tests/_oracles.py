@@ -207,26 +207,34 @@ def master_run(space, g_eff, params, grid, beta, rho0, ops=None):
 # meanfield RK4, one fresh array per operation
 
 def rk4_reference(rhs, y0, drive, grid, on_sample) -> np.ndarray:
-    """Classical RK4 at four steps per grid interval, written out plainly.
+    """Classical RK4 at four steps per grid interval as far as the drive
+    reaches, then at one step per interval with no drive, written out plainly.
 
     `rhs(y, b)` returns dy/dt at drive value b; drive[2j], drive[2j+1] and
-    drive[2j+2] are the drive at the start, middle and end of step j.
-    Stage arguments y + (h/2) k and the update y + (h/6)(((k1 + 2k2) +
-    2k3) + k4) are new arrays in that operand order; `on_sample(k, y)`
-    sees the state at grid point k.
+    drive[2j+2] are the drive at the start, middle and end of step j, and a
+    drive of 8 m + 1 values reaches grid point m.  Past it b is 0.  Stage
+    arguments y + (h/2) k and the update y + (h/6)(((k1 + 2k2) + 2k3) + k4)
+    are new arrays in that operand order; `on_sample(k, y)` sees the state
+    at grid point k.
     """
-    h = grid.dt / 4.0
-    y = np.array(y0)
-    on_sample(0, y)
-    for j in range(4 * (grid.n_samples - 1)):
-        b0, bm, b1 = drive[2 * j], drive[2 * j + 1], drive[2 * j + 2]
+    def step(y, h, b0, bm, b1):
         k1 = rhs(y, b0)
         k2 = rhs(y + 0.5 * h * k1, bm)
         k3 = rhs(y + 0.5 * h * k2, bm)
         k4 = rhs(y + h * k3, b1)
-        y = y + h / 6.0 * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+        return y + h / 6.0 * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+
+    driven = min(grid.n_samples - 1, (len(drive) - 1) // 8)
+    h = grid.dt / 4.0
+    y = np.array(y0)
+    on_sample(0, y)
+    for j in range(4 * driven):
+        y = step(y, h, drive[2 * j], drive[2 * j + 1], drive[2 * j + 2])
         if (j + 1) % 4 == 0:
             on_sample((j + 1) // 4, y)
+    for k in range(driven + 1, grid.n_samples):
+        y = step(y, grid.dt, 0j, 0j, 0j)
+        on_sample(k, y)
     return y
 
 
@@ -236,12 +244,13 @@ def meanfield_reference_rows(grid, jobs, drive, envelope) -> list[tuple[np.ndarr
     rk4_reference.
 
     The jobs share kappa, t1 and detuning; drive is the upsampled unit
-    envelope.  Every product here is written as a plain expression, one
-    ufunc call each, with the rounding rules below; the package's
-    stepper must reproduce these trajectories bit for bit, and its
-    integrals too: (energy, overlap) of g = alpha f + sqrt(kappa) <c>, the
-    trapezoid sums of |g|^2 and conj(f) g taken sample by sample in grid
-    order, the overlap divided by sqrt(energy).
+    envelope, up to the pulse's end or to the grid's end.  Every product
+    here is written as a plain expression, one ufunc call each, with the
+    rounding rules below; the package's stepper must reproduce these
+    trajectories bit for bit, and its integrals too: (energy, overlap) of
+    g = alpha f + sqrt(kappa) <c>, the trapezoid sums of |g|^2 and
+    conj(f) g taken sample by sample in grid order, the overlap divided by
+    sqrt(energy).
     """
     p = jobs[0][2]
     n = grid.n_samples
