@@ -193,6 +193,12 @@ class RegimeCheck:
     detail: str = ""
 
 
+def _reaches_ten(name: str, quantity: str, value: float) -> RegimeCheck:
+    """The check that `quantity` reaches 10: pass at value >= 10, margin value/10."""
+    return RegimeCheck(name, "pass" if value >= 10 else "fail", margin=value / 10.0,
+                       detail=f"{quantity} = {value:.6g} (threshold 10)")
+
+
 def validate_regime(params: DeviceParams, tau: float | None = None) -> list[RegimeCheck]:
     """Operating-regime checklist with computed margins.
 
@@ -220,29 +226,14 @@ def validate_regime(params: DeviceParams, tau: float | None = None) -> list[Regi
 
     if params.g_coupling > 0:
         s = s_parameter(params.g_coupling, params.t1, params.kappa)
-        checks.append(
-            RegimeCheck(
-                "strong_reflection",
-                "pass" if s >= 10 else "fail",
-                margin=s / 10.0,
-                detail=f"s = {s:.6g} (threshold 10)",
-            )
-        )
+        checks.append(_reaches_ten("strong_reflection", "s", s))
     else:
         checks.append(RegimeCheck("strong_reflection", "fail", margin=0.0, detail="g = 0"))
 
     if tau is None:
         checks.append(RegimeCheck("adiabatic_pulse", "skipped", detail="no pulse duration supplied"))
     else:
-        tk = tau * params.kappa
-        checks.append(
-            RegimeCheck(
-                "adiabatic_pulse",
-                "pass" if tk >= 10 else "fail",
-                margin=tk / 10.0,
-                detail=f"tau*kappa = {tk:.6g} (threshold 10)",
-            )
-        )
+        checks.append(_reaches_ten("adiabatic_pulse", "tau*kappa", tau * params.kappa))
 
     if params.circuit is None:
         checks.append(RegimeCheck("resonance_match", "skipped", detail="no circuit parameters"))

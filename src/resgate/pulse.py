@@ -93,28 +93,18 @@ def overlap(a: Pulse, b: Pulse) -> complex:
     return complex(np.trapezoid(np.conj(a.envelope) * b.envelope, dx=a.grid.dt))
 
 
-@dataclass
-class Spectrum:
-    """DFT samples in angular frequency, stored in FFT bin order.
+def spectrum(p: Pulse) -> tuple[np.ndarray, np.ndarray]:
+    """(nu, S): DFT samples at angular frequencies nu, in FFT bin order.
 
     Scaling keeps Parseval exact in the rectangle-rule sense:
     sum |S|^2 dnu = dt sum |f|^2 with dnu = 2 pi/(n dt).
     """
-
-    nu: np.ndarray
-    values: np.ndarray
-    grid: TimeGrid
-
-
-def spectrum(p: Pulse) -> Spectrum:
     n = p.grid.n_samples
     dt = p.grid.dt
     vals = dt * np.fft.fft(p.envelope) / math.sqrt(2.0 * math.pi)
-    nu = 2.0 * math.pi * np.fft.fftfreq(n, d=dt)
-    return Spectrum(nu=nu, values=vals, grid=p.grid)
+    return 2.0 * math.pi * np.fft.fftfreq(n, d=dt), vals
 
 
-def inverse_spectrum(s: Spectrum) -> Pulse:
-    env = np.fft.ifft(s.values * math.sqrt(2.0 * math.pi) / s.grid.dt)
-    return Pulse(s.grid, env)
-
+def inverse_spectrum(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """The envelope on `grid` whose spectrum(...) samples are `values`."""
+    return np.fft.ifft(values * math.sqrt(2.0 * math.pi) / grid.dt)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .device import DeviceParams
 from .errors import NumericsError
-from .pulse import Pulse, Spectrum, inverse_spectrum, overlap, spectrum
+from .pulse import Pulse, inverse_spectrum, overlap, spectrum
 from .qmath import DensityMatrix, HilbertSpace
 from .rules import BACKENDS, DEFAULT_FOCK_DIM, LINEAR_BACKENDS, _check_amplitude
 
@@ -219,11 +219,9 @@ def reflect_filter_pulse(
     _check_amplitude(alpha)
     if not f_in.is_normalized():
         raise ValueError("input pulse must be normalized")
-    sp = spectrum(f_in)
-    r = reflection_filter(
-        sp.nu, state.g_eff(params.g_coupling), params.kappa, params.t1, params.detuning
-    )
-    g_out = inverse_spectrum(Spectrum(sp.nu, r * sp.values, sp.grid)).envelope * alpha
+    nu, values = spectrum(f_in)
+    r = reflection_filter(nu, state.g_eff(params.g_coupling), params.kappa, params.t1, params.detuning)
+    g_out = inverse_spectrum(r * values, f_in.grid) * alpha
     return _decompose(f_in, g_out, alpha, state, params, "filter", {})
 
 

@@ -677,8 +677,20 @@ def test_ranged_points_equal_numpy_linspace(start, stop, n):
 _EDGES = ("0", "1e300", "-1e300", "5e-324")
 
 
-# the grid and the levels sweep stay small, drawn in these ranges unless a key is changed
-_SMALL = {("pulse", "samples"): (MIN_GRID_SAMPLES, 64), ("levels", "points"): (3, 64)}
+# master runs only up to this fock_dim: a changed key can draw MAX_FOCK_DIM
+_FUZZ_MAX_FOCK = 6
+# drawn from these unless a key is changed: the grid, the levels sweep and
+# master's Fock space stay small, [run] backend names any backend, and the
+# sweep reaches amplitudes at which meanfield and master run on 48-64
+# samples (alpha <= 1; 20 needs more than 128)
+_SMALL = {
+    ("pulse", "samples"): strat.integers(MIN_GRID_SAMPLES, 64).map(str),
+    ("levels", "points"): strat.integers(3, 64).map(str),
+    ("run", "fock_dim"): strat.integers(2, _FUZZ_MAX_FOCK).map(str),
+    ("run", "backend"): strat.sampled_from(BACKENDS),
+    ("sweep", "alpha"): strat.sampled_from(["0.5", "1", "20"]),
+    ("sweep", "points"): strat.sampled_from(["0:1:3", "0:22:23"]),
+}
 
 
 def _value_text(section: str, key: str, default: str):
@@ -712,11 +724,13 @@ def test_any_config_exits_0_2_or_3_and_writes_only_finite_csvs(data):
     # a config of the table's domains and their edges, with up to three keys
     # off the default and an optional section left out: every command exits
     # 0, 2 or 3; a failure prints one line and writes nothing, and a success
-    # writes no CSV cell and no SVG coordinate or label that is not finite
+    # writes no CSV cell and no SVG coordinate or label that is not finite.
+    # reflect and fidelity run on the filter, meanfield and master, and
+    # reflect once more on the backend that [run] backend names
     texts = _texts(DEFAULT_CFG)        # every key of the table
     changed = data.draw(strat.sets(strat.sampled_from(sorted(texts)), max_size=3), label="changed")
-    for key, (lo, hi) in _SMALL.items():
-        texts[key] = str(data.draw(strat.integers(lo, hi), label=" ".join(key)))
+    for key, values in _SMALL.items():
+        texts[key] = data.draw(values, label=" ".join(key))
     for key in sorted(changed):
         texts[key] = data.draw(_value_text(*key, texts[key]), label=" ".join(key))
     left_out = data.draw(strat.sets(strat.sampled_from(["circuit", "zeeman"])), label="left out")
@@ -728,13 +742,20 @@ def test_any_config_exits_0_2_or_3_and_writes_only_finite_csvs(data):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
         cfg.write_text("".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items()))
-        for command in ("levels", "regime", "reflect", "fidelity"):
-            out = Path(tmp) / command
+        runs = [("levels", "filter"), ("regime", "filter"), ("reflect", None),
+                *((command, backend) for backend in ("filter", "meanfield", "master")
+                  for command in ("reflect", "fidelity"))]
+        for command, backend in runs:
+            master = (backend or texts["run", "backend"]) == "master"
+            if master and int(texts["run", "fock_dim"]) > _FUZZ_MAX_FOCK:
+                continue
+            out = Path(tmp) / f"{command}-{backend}"
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main([command, "--config", str(cfg), "--backend", "filter", "--out", str(out), *plot])
+                code = main([command, "--config", str(cfg), *(["--backend", backend] if backend else []),
+                             "--out", str(out), *plot])
             err = stderr.getvalue()
-            assert code in (0, 2, 3), (command, code, err)
+            assert code in (0, 2, 3), (command, backend, code, err)
             if code:
                 assert err.count("\n") == 1 and err.startswith(("config error: ", "numerical failure: ")), err
                 assert stdout.getvalue() == "" and not out.exists(), command

@@ -176,6 +176,17 @@ def test_short_pulse_fails_adiabatic(ref):
     assert checks["adiabatic_pulse"].margin == pytest.approx(0.1)
 
 
+def test_regime_threshold_rule_at_its_edge():
+    # strong_reflection (s) and adiabatic_pulse (tau*kappa) share one rule:
+    # pass from 10 up, margin value/10, the value and threshold in the detail
+    edge = device.DeviceParams(delta=0.0, tunneling=1.0, g_coupling=1.0, kappa=1.0, detuning=0.0, t1=10.0)
+    checks = {c.name: c for c in validate_regime(edge, tau=9.99)}
+    s, tk = checks["strong_reflection"], checks["adiabatic_pulse"]
+    assert (s.status, s.margin, s.detail) == ("pass", 1.0, "s = 10 (threshold 10)")
+    assert (tk.status, tk.detail) == ("fail", "tau*kappa = 9.99 (threshold 10)")
+    assert tk.margin == pytest.approx(0.999, rel=1e-15)
+
+
 def test_device_params_validation(ref):
     import dataclasses
 

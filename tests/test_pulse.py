@@ -96,30 +96,31 @@ def test_overlap_requires_same_grid(ref, ref_tau):
 
 
 def test_spectrum_roundtrip(ref_pulse):
-    back = inverse_spectrum(spectrum(ref_pulse))
+    _, values = spectrum(ref_pulse)
+    back = inverse_spectrum(values, ref_pulse.grid)
     peak = float(np.max(np.abs(ref_pulse.envelope)))
-    assert np.max(np.abs(back.envelope - ref_pulse.envelope)) < 1e-12 * peak
+    assert np.max(np.abs(back - ref_pulse.envelope)) < 1e-12 * peak
 
 
 def test_spectrum_parseval(ref_pulse):
-    s = spectrum(ref_pulse)
+    _, values = spectrum(ref_pulse)
     dnu = 2 * math.pi / (ref_pulse.grid.n_samples * ref_pulse.grid.dt)
-    assert np.sum(np.abs(s.values) ** 2) * dnu == pytest.approx(ref_pulse.norm_sq(), abs=1e-9)
+    assert np.sum(np.abs(values) ** 2) * dnu == pytest.approx(ref_pulse.norm_sq(), abs=1e-9)
 
 
 def test_spectrum_axis(ref_pulse):
-    s = spectrum(ref_pulse)
+    nu, _ = spectrum(ref_pulse)
     grid = ref_pulse.grid
-    assert s.nu.shape == (grid.n_samples,)
-    assert s.nu[1] == pytest.approx(2 * math.pi / (grid.n_samples * grid.dt))
-    assert s.nu[0] == 0.0
+    assert nu.shape == (grid.n_samples,)
+    assert nu[1] == pytest.approx(2 * math.pi / (grid.n_samples * grid.dt))
+    assert nu[0] == 0.0
 
 
 def test_gaussian_spectrum_width(ref_tau, ref_pulse):
     # |S(nu)|^2 should be Gaussian with variance 1/w^2, w = tau/5
-    s = spectrum(ref_pulse)
-    power = np.abs(s.values) ** 2
-    nu = np.fft.fftshift(s.nu)
+    nu, values = spectrum(ref_pulse)
+    power = np.abs(values) ** 2
+    nu = np.fft.fftshift(nu)
     power = np.fft.fftshift(power)
     w = ref_tau / 5
     expected = power.max() * np.exp(-(nu**2) * w * w / 2.0)

@@ -1,9 +1,10 @@
 """The names other code reaches into the package by: the benchmark's tracer
-wraps functions and methods by name, and `resgate.__all__` is the public
-import surface.  A rename or deletion must show up here, not as a
-benchmark run that traces nothing.  A deletion must also take its
-imports and its helpers with it: no module imports a name it never uses or
-defines one nothing names.  The README's example runs as written."""
+wraps functions and methods by name, its census calls some with their
+arguments, and `resgate.__all__` is the public import surface.  A rename or
+deletion must show up here, not as a benchmark run that traces nothing.  A
+deletion must also take its imports and its helpers with it: no module
+imports a name it never uses or defines one nothing names.  The README's
+example runs as written."""
 
 import ast
 import contextlib
@@ -15,9 +16,10 @@ import re
 from pathlib import Path
 
 import resgate
-from resgate import cli, scattering, svgplot
+from resgate import cli, device, gate, pulse, scattering, svgplot
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+RUN = TRACING.with_name("run.py")
 PACKAGE = Path(resgate.__file__).resolve().parent
 
 
@@ -81,6 +83,28 @@ def test_traced_cli_signatures():
     for fn in (cli._write_rows, svgplot.save_chart):
         first = next(iter(inspect.signature(fn).parameters.values()))
         assert first.name == "path" and first.kind is first.POSITIONAL_OR_KEYWORD, fn.__name__
+
+
+def test_census_calls_bind():
+    # the benchmark's census calls one function of each layer its workload's
+    # commands never reach, some by keyword (fock_dim=, alpha=, backend=,
+    # tau=): each of its calls, with its own arguments, binds to the
+    # signature it calls, or only a traced benchmark run would fail
+    tree = ast.parse(RUN.read_text(), filename=str(RUN))
+    census = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "census")
+    modules = {"cli": cli, "device": device, "gate": gate, "pulse": pulse, "scattering": scattering}
+    called = set()
+    for node in ast.walk(census):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in modules):
+            fn = getattr(modules[node.func.value.id], node.func.attr)
+            inspect.signature(fn).bind(*node.args, **{kw.arg: kw.value for kw in node.keywords})
+            called.add(f"{node.func.value.id}.{node.func.attr}")
+    assert called == {
+        "cli.cmd_levels", "cli.load_config", "device.validate_regime", "gate.sweep_photon_number",
+        "pulse.default_grid", "pulse.gaussian_pulse", "scattering.joint_state",
+        "scattering.reflect_filter_pulse", "scattering.reflect_master", "scattering.reflect_meanfield",
+    }
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
